@@ -1,18 +1,26 @@
 """Slot-level Monte-Carlo simulator of the coexisting MAC protocols.
 
-The simulator deliberately lives in the same slotted abstraction as the
-analytical model so the two can be compared number for number: every channel
-event is one backoff step for every station (counters freeze during others'
-transmissions and the whole busy period collapses into a single event), a
-station transmits when its counter hits zero, and the six event classes carry
-the same durations the analytical expected-event-time uses. One seeded PCG64
-stream drives all draws, so a given configuration is bit-reproducible.
+The simulator lives in the same slotted abstraction as the analytical model so
+the two compare number for number: every channel event is one backoff step for
+every station (counters freeze during others' transmissions and a busy period
+is one event), a station transmits when its counter hits zero, and the six
+event classes carry the analytical event durations. The loop is event-driven:
+each station holds the absolute index of the event at which it next transmits
+(its counter at event k is that index minus k), so the run jumps from one
+transmission to the next, books the idle slots between per batch and touches
+only the transmitters. One seeded PCG64 stream feeds every draw in a fixed
+order, so a configuration is bit-reproducible: initial counters Wi-Fi then
+LAA; per event the Wi-Fi transmitters by index, then the LAA ones, each
+drawing its detection coin (when one is needed) before its new counter.
 """
 from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -23,36 +31,12 @@ _BATCHES = 100          # batch-means groups for standard-error estimates
 _POOL_CHUNK = 1 << 16   # uint64 draws fetched from the generator at a time
 
 
-class _RandomPool:
-    """Buffered uint64 draws from PCG64 with unbiased bounded sampling."""
-
-    def __init__(self, seed: int):
-        self._gen = np.random.Generator(np.random.PCG64(seed))
-        self._buf: list[int] = []
-        self._next = 0
-
-    def _u64(self) -> int:
-        if self._next >= len(self._buf):
-            self._buf = self._gen.integers(0, 1 << 64, size=_POOL_CHUNK,
-                                           dtype=np.uint64).tolist()
-            self._next = 0
-        value = self._buf[self._next]
-        self._next += 1
-        return value
-
-    def randbelow(self, n: int) -> int:
-        """Uniform integer in [0, n) via mask-and-reject (no modulo bias)."""
-        if n & (n - 1) == 0:
-            return self._u64() & (n - 1)
-        mask = (1 << (n - 1).bit_length()) - 1
-        while True:
-            value = self._u64() & mask
-            if value < n:
-                return value
-
-    def coin(self, p: float) -> bool:
-        """True with probability p."""
-        return self._u64() < p * 18446744073709551616.0  # p * 2**64
+def _draws(seed: int):
+    """Endless iterator over PCG64 uint64 draws, fetched a chunk at a time."""
+    gen = np.random.Generator(np.random.PCG64(seed))
+    chunks = map(partial(gen.integers, 0, 1 << 64, dtype=np.uint64),
+                 repeat(_POOL_CHUNK))
+    return chain.from_iterable(map(np.ndarray.tolist, chunks))
 
 
 @dataclass(frozen=True)
@@ -66,6 +50,10 @@ class SimConfig:
     trace_path: str | None = None     # per-event CSV dump (debugging; slow)
 
     def __post_init__(self) -> None:
+        for name in ("horizon_events", "warmup_events", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not self.horizon_events > self.warmup_events >= 0:
             raise ValueError("horizon_events must exceed warmup_events >= 0")
 
@@ -115,16 +103,16 @@ def simulate_with_detection(cfg: SimConfig) -> SimReport:
 def _run(cfg: SimConfig, honor_detection: bool) -> SimReport:
     s = cfg.scenario.effective()
     n_w, n_l = s.n_wifi, s.n_laa
-    p_dw = s.p_dw if honor_detection else 1.0
-    p_dl = s.p_dl if honor_detection else 1.0
+    p_d = (s.p_dw, s.p_dl) if honor_detection else (1.0, 1.0)
 
-    durations = event_durations(s.wifi, s.laa)
-    t_sw, t_cw = durations.t_sw, durations.t_cw
-    t_sl, t_cl, t_cc = durations.t_sl, durations.t_cl, durations.t_cc
-    slot = s.wifi.slot_us
+    # Tuples indexed by network (0 Wi-Fi, 1 LAA), like the per-batch sums below.
+    d = event_durations(s.wifi, s.laa)
+    success = (("wifi-success", d.t_sw), ("laa-success", d.t_sl))
+    collision = (("wifi-collision", d.t_cw), ("laa-collision", d.t_cl))
     psize, _, _ = derived_durations(s.wifi)
-    wifi_bits = psize * s.wifi.data_rate_mbps
-    laa_bits = s.laa.pdcch_fraction * s.laa.txop_us * s.laa.data_rate_mbps
+    bits = (psize * s.wifi.data_rate_mbps,
+            s.laa.pdcch_fraction * s.laa.txop_us * s.laa.data_rate_mbps)
+    slot = s.wifi.slot_us
 
     # Stage ceilings: the chain resets after its last stay at the top window.
     # Comparison mode drops the Wi-Fi chain's extra stay, like the testbed MAC.
@@ -132,119 +120,133 @@ def _run(cfg: SimConfig, honor_detection: bool) -> SimReport:
     max_stage_l = s.laa.m + s.laa.retry_limit
     win_w = [2 ** min(j, s.wifi.m) * s.wifi.w0 for j in range(max_stage_w + 1)]
     win_l = [2 ** min(j, s.laa.m) * s.laa.w0 for j in range(max_stage_l + 1)]
+    # Per station, Wi-Fi first: the top stage and, per stage, the window with
+    # the bit mask of its mask-and-reject draw (no modulo bias).
+    top = [max_stage_w] * n_w + [max_stage_l] * n_l
+    windows = [[(w, (1 << (w - 1).bit_length()) - 1) for w in win]
+               for win in [win_w] * n_w + [win_l] * n_l]
 
-    pool = _RandomPool(cfg.seed)
-    stage_w = [0] * n_w
-    stage_l = [0] * n_l
-    cnt_w = [pool.randbelow(win_w[0]) for _ in range(n_w)]
-    cnt_l = [pool.randbelow(win_l[0]) for _ in range(n_l)]
+    draw = _draws(cfg.seed).__next__
+    stage = [0] * (n_w + n_l)
+    fire = []           # absolute index of each station's next transmission
+    for wins in windows:
+        width, mask = wins[0]
+        backoff = draw() & mask
+        while backoff >= width:
+            backoff = draw() & mask
+        fire.append(backoff)
 
     horizon, warmup = cfg.horizon_events, cfg.warmup_events
-    counted_total = horizon - warmup
-    n_batches = min(_BATCHES, counted_total)
-    batch_size = counted_total // n_batches
-
-    def batch_of(idx: int) -> int:
-        return min((idx - warmup) // batch_size, n_batches - 1)
-
+    n_batches = min(_BATCHES, horizon - warmup)
+    batch_size = (horizon - warmup) // n_batches
     b_time = [0.0] * n_batches
     b_events = [0] * n_batches
-    b_bits_w = [0.0] * n_batches
-    b_bits_l = [0.0] * n_batches
-    b_att_w = [0] * n_batches
-    b_att_l = [0] * n_batches
-    b_col_w = [0] * n_batches
-    b_col_l = [0] * n_batches
+    b_bits = ([0.0] * n_batches, [0.0] * n_batches)
+    b_att = ([0] * n_batches, [0] * n_batches)
+    b_col = ([0] * n_batches, [0] * n_batches)
     counts = dict.fromkeys(EVENT_CLASSES, 0)
 
     trace = _TraceWriter(cfg.trace_path, n_w, n_l) if cfg.trace_path else None
-    big = 1 << 62
 
-    idx = 0
-    while idx < horizon:
-        gap = min(min(cnt_w, default=big), min(cnt_l, default=big))
-        if gap > 0:
-            run = min(gap, horizon - idx)
+    # Batch b ends before event ends[b]; the last one runs to the horizon.
+    # Events before the warmup's end are in batch -1 and not counted.
+    ends = [warmup + (k + 1) * batch_size for k in range(n_batches - 1)]
+    ends.append(horizon)
+    b, b_end = -1, warmup
+    idx = 0             # first event not yet simulated
+    while True:
+        t = min(fire)
+        if t > idx:     # idle slots until the next transmission
+            end = t if t < horizon else horizon
             if trace:
-                run = 1
-                trace.row(idx, "idle", slot, stage_w, cnt_w, stage_l, cnt_l)
-            lo, hi = max(idx, warmup), idx + run
-            if hi > lo:
-                counts["idle"] += hi - lo
-                for at in range(lo, hi):  # idle runs may straddle batches
-                    b = batch_of(at)
-                    b_time[b] += slot
-                    b_events[b] += 1
-            for i in range(n_w):
-                cnt_w[i] -= run
-            for i in range(n_l):
-                cnt_l[i] -= run
-            idx += run
-            continue
+                for at in range(idx, end):
+                    trace.row(at, "idle", slot, stage, fire)
+            while idx < end:   # idle runs may straddle batches
+                if idx == b_end:
+                    b += 1
+                    b_end = ends[b]
+                stop = end if end < b_end else b_end
+                if b >= 0:
+                    counts["idle"] += stop - idx
+                    b_time[b] = _add_repeated(b_time[b], slot, stop - idx)
+                    b_events[b] += stop - idx
+                idx = stop
+        if t >= horizon:
+            break
 
-        n_wt = cnt_w.count(0)
-        n_lt = cnt_l.count(0)
-        if n_lt == 0:
-            cls, dur = ("wifi-success", t_sw) if n_wt == 1 else ("wifi-collision", t_cw)
-        elif n_wt == 0:
-            cls, dur = ("laa-success", t_sl) if n_lt == 1 else ("laa-collision", t_cl)
+        i = fire.index(t)
+        n_tx = fire.count(t)
+        if n_tx == 1:
+            transmitters = (i,)
+            n_wt = 1 if i < n_w else 0
         else:
-            cls, dur = "cross-collision", t_cc
+            transmitters = [i]
+            for _ in range(n_tx - 1):
+                transmitters.append(fire.index(t, transmitters[-1] + 1))
+            n_wt = bisect_left(transmitters, n_w)
+        n_lt = n_tx - n_wt
+        n_net = (n_wt, n_lt)
+        if n_wt and n_lt:
+            cls, dur = "cross-collision", d.t_cc
+        else:           # one network transmits: a success if alone
+            net = n_wt == 0
+            cls, dur = (success if n_tx == 1 else collision)[net]
         if trace:
-            trace.row(idx, cls, dur, stage_w, cnt_w, stage_l, cnt_l)
+            trace.row(t, cls, dur, stage, fire)
 
-        counted = idx >= warmup
+        if t == b_end:
+            b += 1
+            b_end = ends[b]
+        counted = b >= 0
         if counted:
-            b = batch_of(idx)
             counts[cls] += 1
             b_time[b] += dur
             b_events[b] += 1
-            b_att_w[b] += n_wt
-            b_att_l[b] += n_lt
-            if cls == "wifi-success":
-                b_bits_w[b] += wifi_bits
-            elif cls == "laa-success":
-                b_bits_l[b] += laa_bits
+            b_att[0][b] += n_wt
+            b_att[1][b] += n_lt
+            if n_tx == 1:
+                b_bits[net][b] += bits[net]
 
-        for i in range(n_w):
-            if cnt_w[i] == 0:
-                if n_wt == 1 and (n_lt == 0 or not _detects(pool, p_dw)):
-                    stage_w[i] = 0
-                else:
-                    if counted:
-                        b_col_w[b] += 1
-                    stage_w[i] = 0 if stage_w[i] == max_stage_w else stage_w[i] + 1
-                cnt_w[i] = pool.randbelow(win_w[stage_w[i]])
+        for i in transmitters:
+            net = i >= n_w
+            if n_net[net] == 1 and (n_net[not net] == 0 or not _detects(draw, p_d[net])):
+                stage[i] = 0
             else:
-                cnt_w[i] -= 1
-        for i in range(n_l):
-            if cnt_l[i] == 0:
-                if n_lt == 1 and (n_wt == 0 or not _detects(pool, p_dl)):
-                    stage_l[i] = 0
-                else:
-                    if counted:
-                        b_col_l[b] += 1
-                    stage_l[i] = 0 if stage_l[i] == max_stage_l else stage_l[i] + 1
-                cnt_l[i] = pool.randbelow(win_l[stage_l[i]])
-            else:
-                cnt_l[i] -= 1
-        idx += 1
+                if counted:
+                    b_col[net][b] += 1
+                stage[i] = 0 if stage[i] == top[i] else stage[i] + 1
+            width, mask = windows[i][stage[i]]
+            backoff = draw() & mask
+            while backoff >= width:
+                backoff = draw() & mask
+            fire[i] = t + 1 + backoff
+        idx = t + 1
 
     if trace:
         trace.close()
-
-    return _report(n_w, n_l, counts, b_time, b_events, b_bits_w, b_bits_l,
-                   b_att_w, b_att_l, b_col_w, b_col_l)
+    return _report(n_w, n_l, counts, b_time, b_events, *b_bits, *b_att, *b_col)
 
 
-def _detects(pool: _RandomPool, p_d: float) -> bool:
+def _add_repeated(total: float, step: float, n: int) -> float:
+    """``total`` after ``n`` sequential ``total += step``, bit for bit.
+
+    If ``total`` and ``step`` lie on the grid of the final sum's ulp, so does
+    every partial sum: each addition is exact and one multiply-add gives the
+    same bits. Otherwise some additions round, so they are replayed.
+    """
+    end = total + n * step
+    grid = math.ulp(end)
+    if not (total % grid or step % grid):
+        return end
+    for _ in range(n):
+        total += step
+    return total
+
+
+def _detects(draw, p_d: float) -> bool:
     # Draw only when the outcome is uncertain, so perfect-detection runs
     # consume the exact same random stream as the plain protocol.
-    if p_d >= 1.0:
-        return True
-    if p_d <= 0.0:
-        return False
-    return pool.coin(p_d)
+    return p_d >= 1.0 or (p_d > 0.0 and draw() < p_d * 2.0 ** 64)
 
 
 def _report(n_w, n_l, counts, b_time, b_events, b_bits_w, b_bits_l,
@@ -290,18 +292,14 @@ class _TraceWriter:
         self._fh = open(path, "w", newline="", encoding="utf-8")
         self._writer = csv.writer(self._fh, lineterminator="\n")
         header = ["event_index", "event_class", "duration_us"]
-        for i in range(n_w):
-            header += [f"w{i}_stage", f"w{i}_counter"]
-        for i in range(n_l):
-            header += [f"l{i}_stage", f"l{i}_counter"]
+        for node in [f"w{i}" for i in range(n_w)] + [f"l{i}" for i in range(n_l)]:
+            header += [f"{node}_stage", f"{node}_counter"]
         self._writer.writerow(header)
 
-    def row(self, idx, cls, dur, stage_w, cnt_w, stage_l, cnt_l) -> None:
+    def row(self, idx, cls, dur, stage, fire) -> None:
         cells = [idx, cls, dur]
-        for st, ct in zip(stage_w, cnt_w):
-            cells += [st, ct]
-        for st, ct in zip(stage_l, cnt_l):
-            cells += [st, ct]
+        for st, at in zip(stage, fire):
+            cells += [st, at - idx]
         self._writer.writerow(cells)
 
     def close(self) -> None:
