@@ -15,7 +15,6 @@ from .core import (LaaParams, Scenario, Solution, ThroughputReport,
 from .ed import EdConfig, dbm_to_mw, detection_probability
 from .markov import (StationaryDistribution, laa_stationary, laa_tau,
                      wifi_stationary, wifi_tau)
-from .mcsim import SimConfig, SimReport, simulate, simulate_with_detection
 from .solver import (ConvergenceError, SolverConfig, solve_coexistence,
                      solve_wifi_only)
 from .throughput import (EventDurations, EventProbabilities,
@@ -38,3 +37,14 @@ __all__ = [
     "EdConfig", "dbm_to_mw", "detection_probability",
     "SimConfig", "SimReport", "simulate", "simulate_with_detection",
 ]
+
+# The simulator needs numpy, which the analytic path never uses: its names
+# are resolved on first access (PEP 562), so `import laacoex` stays light.
+_SIMULATOR = ("SimConfig", "SimReport", "simulate", "simulate_with_detection")
+
+
+def __getattr__(name):
+    if name in _SIMULATOR:
+        from . import mcsim
+        return getattr(mcsim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,7 +18,6 @@ import yaml
 
 from . import __version__
 from .core import Scenario, scenario_from_dict
-from .mcsim import SimConfig, simulate_with_detection
 from .solver import (ConvergenceError, SolverConfig, solve_coexistence,
                      solve_wifi_only)
 from .throughput import (coexistence_throughput, event_durations,
@@ -197,6 +196,8 @@ def analytic_row(s: Scenario, cfg: SolverConfig) -> dict:
 def simulate_row(s: Scenario, seed: int, horizon: int, warmup: int,
                  trace_path=None) -> dict:
     """Run the slot-level simulator and flatten measurements to CSV cells."""
+    # Imported here, not at module level: only the simulator needs numpy.
+    from .mcsim import SimConfig, simulate_with_detection
     eff = s.effective()
     sim = simulate_with_detection(SimConfig(
         scenario=eff, horizon_events=horizon, seed=seed,

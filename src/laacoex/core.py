@@ -13,11 +13,32 @@ import yaml
 from .ed import EdConfig, detection_probability
 
 BITS_PER_BYTE = 8
+# The simulator draws backoff counters from 64-bit words, so the largest
+# contention window w0 * 2**m may be at most 2**64 slots.
+_MAX_WINDOW_BITS = 64
 
 
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ValueError(message)
+
+
+def _require_int(obj, *names: str) -> None:
+    """Counts must be true integers: a float or a bool is rejected."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _require_window(w0: int, m: int) -> None:
+    # (w0 - 1).bit_length() + m is the bit length of w0 * 2**m - 1; the
+    # form never builds 2**m, so a huge m is rejected without a big integer.
+    _require(w0 >= 1, "w0 must be >= 1")
+    _require(m >= 0, "m must be >= 0")
+    if (w0 - 1).bit_length() + m > _MAX_WINDOW_BITS:
+        raise ValueError(f"m too large: the top window w0 * 2**m must be <= "
+                         f"2**{_MAX_WINDOW_BITS}, got w0={w0}, m={m}")
 
 
 @dataclass(frozen=True)
@@ -38,8 +59,8 @@ class WifiParams:
     prop_delay_us: float = 0.1
 
     def __post_init__(self) -> None:
-        _require(self.w0 >= 1, "w0 must be >= 1")
-        _require(self.m >= 0, "m must be >= 0")
+        _require_int(self, "w0", "m")
+        _require_window(self.w0, self.m)
         _require(self.payload_bytes >= 1, "payload_bytes must be >= 1")
         for name in ("data_rate_mbps", "control_rate_mbps", "phy_header_us",
                      "difs_us", "sifs_us", "slot_us", "prop_delay_us"):
@@ -62,8 +83,8 @@ class LaaParams:
     pdcch_fraction: float = 13.0 / 14.0  # share of the TXOP carrying data symbols
 
     def __post_init__(self) -> None:
-        _require(self.w0 >= 1, "w0 must be >= 1")
-        _require(self.m >= 0, "m must be >= 0")
+        _require_int(self, "w0", "m", "retry_limit")
+        _require_window(self.w0, self.m)
         _require(0 <= self.retry_limit <= 8, "retry_limit must be in [0, 8]")
         _require(0 < self.txop_us <= 10_000, "txop_us must be in (0, 10000]")
         for name in ("defer_us", "next_tx_delay_us", "data_rate_mbps"):
@@ -128,6 +149,10 @@ class Scenario:
     comparison_mode: bool = False
 
     def __post_init__(self) -> None:
+        _require_int(self, "n_wifi", "n_laa")
+        if not isinstance(self.comparison_mode, bool):
+            raise ValueError("comparison_mode must be true or false, "
+                             f"got {self.comparison_mode!r}")
         _require(self.n_wifi >= 0, "n_wifi must be >= 0")
         _require(self.n_laa >= 0, "n_laa must be >= 0")
         _require(self.n_wifi + self.n_laa >= 1, "n_wifi + n_laa must be >= 1")

@@ -8,10 +8,15 @@ event classes carry the analytical event durations. The loop is event-driven:
 each station holds the absolute index of the event at which it next transmits
 (its counter at event k is that index minus k), so the run jumps from one
 transmission to the next, books the idle slots between per batch and touches
-only the transmitters. One seeded PCG64 stream feeds every draw in a fixed
-order, so a configuration is bit-reproducible: initial counters Wi-Fi then
-LAA; per event the Wi-Fi transmitters by index, then the LAA ones, each
-drawing its detection coin (when one is needed) before its new counter.
+only the transmitters. A lone transmitter always succeeds and draws no
+detection coin, so it takes a short path; collisions take the general one.
+The warmup is batch 0, summed like the others and dropped at the end. A
+batch's sums stay in locals until it closes; its event count is its length,
+and its idle count the events minus its transmissions. One seeded PCG64
+stream feeds every draw in a fixed order, so a configuration is
+bit-reproducible: initial counters Wi-Fi then LAA; per event the Wi-Fi
+transmitters by index, then the LAA ones, each drawing its detection coin
+(when one is needed) before its new counter.
 """
 from __future__ import annotations
 
@@ -105,13 +110,15 @@ def _run(cfg: SimConfig, honor_detection: bool) -> SimReport:
     n_w, n_l = s.n_wifi, s.n_laa
     p_d = (s.p_dw, s.p_dl) if honor_detection else (1.0, 1.0)
 
-    # Tuples indexed by network (0 Wi-Fi, 1 LAA), like the per-batch sums below.
     d = event_durations(s.wifi, s.laa)
-    success = (("wifi-success", d.t_sw), ("laa-success", d.t_sl))
-    collision = (("wifi-collision", d.t_cw), ("laa-collision", d.t_cl))
+    t_sw, t_sl = d.t_sw, d.t_sl
+    success = (("wifi-success", t_sw), ("laa-success", t_sl))
+    # Collision kinds, indexed as n_coll below: Wi-Fi, LAA, cross.
+    collision = (("wifi-collision", d.t_cw), ("laa-collision", d.t_cl),
+                 ("cross-collision", d.t_cc))
     psize, _, _ = derived_durations(s.wifi)
-    bits = (psize * s.wifi.data_rate_mbps,
-            s.laa.pdcch_fraction * s.laa.txop_us * s.laa.data_rate_mbps)
+    bit_w = psize * s.wifi.data_rate_mbps
+    bit_l = s.laa.pdcch_fraction * s.laa.txop_us * s.laa.data_rate_mbps
     slot = s.wifi.slot_us
 
     # Stage ceilings: the chain resets after its last stay at the top window.
@@ -125,12 +132,12 @@ def _run(cfg: SimConfig, honor_detection: bool) -> SimReport:
     top = [max_stage_w] * n_w + [max_stage_l] * n_l
     windows = [[(w, (1 << (w - 1).bit_length()) - 1) for w in win]
                for win in [win_w] * n_w + [win_l] * n_l]
+    first = [wins[0] for wins in windows]
 
     draw = _draws(cfg.seed).__next__
     stage = [0] * (n_w + n_l)
     fire = []           # absolute index of each station's next transmission
-    for wins in windows:
-        width, mask = wins[0]
+    for width, mask in first:
         backoff = draw() & mask
         while backoff >= width:
             backoff = draw() & mask
@@ -139,92 +146,99 @@ def _run(cfg: SimConfig, honor_detection: bool) -> SimReport:
     horizon, warmup = cfg.horizon_events, cfg.warmup_events
     n_batches = min(_BATCHES, horizon - warmup)
     batch_size = (horizon - warmup) // n_batches
-    b_time = [0.0] * n_batches
-    b_events = [0] * n_batches
-    b_bits = ([0.0] * n_batches, [0.0] * n_batches)
-    b_att = ([0] * n_batches, [0] * n_batches)
-    b_col = ([0] * n_batches, [0] * n_batches)
-    counts = dict.fromkeys(EVENT_CLASSES, 0)
+    # Batch k ends before event ends[k]: batch 0 is the warmup, the last ends
+    # at the horizon, and the sentinel is never reached.
+    next_end = iter([warmup + k * batch_size for k in range(n_batches)]
+                    + [horizon, math.inf]).__next__
+    b_end = next_end()
+    batches = []
+    # Sums of the open batch: time, bits, successes and attempts in collision
+    # events per network, chain collisions per network, events per kind.
+    time_us = bits_w = bits_l = 0.0
+    n_sw = n_sl = att_w = att_l = 0
+    col, n_coll = [0, 0], [0, 0, 0]
 
     trace = _TraceWriter(cfg.trace_path, n_w, n_l) if cfg.trace_path else None
-
-    # Batch b ends before event ends[b]; the last one runs to the horizon.
-    # Events before the warmup's end are in batch -1 and not counted.
-    ends = [warmup + (k + 1) * batch_size for k in range(n_batches - 1)]
-    ends.append(horizon)
-    b, b_end = -1, warmup
-    idx = 0             # first event not yet simulated
+    idx = 0             # first event not yet booked
     while True:
         t = min(fire)
-        if t > idx:     # idle slots until the next transmission
-            end = t if t < horizon else horizon
-            if trace:
-                for at in range(idx, end):
-                    trace.row(at, "idle", slot, stage, fire)
-            while idx < end:   # idle runs may straddle batches
-                if idx == b_end:
-                    b += 1
-                    b_end = ends[b]
-                stop = end if end < b_end else b_end
-                if b >= 0:
-                    counts["idle"] += stop - idx
-                    b_time[b] = _add_repeated(b_time[b], slot, stop - idx)
-                    b_events[b] += stop - idx
-                idx = stop
+        if trace:
+            for at in range(idx, min(t, horizon)):
+                trace.row(at, "idle", slot, stage, fire)
+        while b_end <= t:       # close every batch that ends by this event
+            if idx < b_end:     # idle runs may straddle batches
+                time_us = _add_repeated(time_us, slot, b_end - idx)
+                idx = b_end
+            batches.append((time_us, bits_w, bits_l, n_sw + att_w,
+                            n_sl + att_l, *col, n_sw, n_sl, *n_coll))
+            time_us = bits_w = bits_l = 0.0
+            n_sw = n_sl = att_w = att_l = 0
+            col, n_coll = [0, 0], [0, 0, 0]
+            b_end = next_end()
         if t >= horizon:
             break
+        if idx < t:             # idle slots until the next transmission
+            time_us = _add_repeated(time_us, slot, t - idx)
 
         i = fire.index(t)
         n_tx = fire.count(t)
-        if n_tx == 1:
-            transmitters = (i,)
-            n_wt = 1 if i < n_w else 0
+        if n_tx == 1:   # a lone transmitter succeeds; no coin without a rival
+            if trace:
+                trace.row(t, *success[i >= n_w], stage, fire)
+            if i < n_w:
+                time_us += t_sw
+                bits_w += bit_w
+                n_sw += 1
+            else:
+                time_us += t_sl
+                bits_l += bit_l
+                n_sl += 1
+            stage[i] = 0
+            width, mask = first[i]
+            backoff = draw() & mask
+            while backoff >= width:
+                backoff = draw() & mask
+            fire[i] = t + 1 + backoff
         else:
             transmitters = [i]
             for _ in range(n_tx - 1):
                 transmitters.append(fire.index(t, transmitters[-1] + 1))
             n_wt = bisect_left(transmitters, n_w)
-        n_lt = n_tx - n_wt
-        n_net = (n_wt, n_lt)
-        if n_wt and n_lt:
-            cls, dur = "cross-collision", d.t_cc
-        else:           # one network transmits: a success if alone
-            net = n_wt == 0
-            cls, dur = (success if n_tx == 1 else collision)[net]
-        if trace:
-            trace.row(t, cls, dur, stage, fire)
+            n_lt = n_tx - n_wt
+            kind = 2 if n_wt and n_lt else n_wt == 0
+            cls, dur = collision[kind]
+            n_coll[kind] += 1
+            if trace:
+                trace.row(t, cls, dur, stage, fire)
+            time_us += dur
+            att_w += n_wt
+            att_l += n_lt
 
-        if t == b_end:
-            b += 1
-            b_end = ends[b]
-        counted = b >= 0
-        if counted:
-            counts[cls] += 1
-            b_time[b] += dur
-            b_events[b] += 1
-            b_att[0][b] += n_wt
-            b_att[1][b] += n_lt
-            if n_tx == 1:
-                b_bits[net][b] += bits[net]
-
-        for i in transmitters:
-            net = i >= n_w
-            if n_net[net] == 1 and (n_net[not net] == 0 or not _detects(draw, p_d[net])):
-                stage[i] = 0
-            else:
-                if counted:
-                    b_col[net][b] += 1
-                stage[i] = 0 if stage[i] == top[i] else stage[i] + 1
-            width, mask = windows[i][stage[i]]
-            backoff = draw() & mask
-            while backoff >= width:
+            n_net = (n_wt, n_lt)
+            for i in transmitters:
+                net = i >= n_w
+                # a network's lone station succeeds unless it senses the other
+                if n_net[net] == 1 and not _detects(draw, p_d[net]):
+                    stage[i] = 0
+                else:
+                    col[net] += 1
+                    stage[i] = 0 if stage[i] == top[i] else stage[i] + 1
+                width, mask = windows[i][stage[i]]
                 backoff = draw() & mask
-            fire[i] = t + 1 + backoff
+                while backoff >= width:
+                    backoff = draw() & mask
+                fire[i] = t + 1 + backoff
         idx = t + 1
 
     if trace:
         trace.close()
-    return _report(n_w, n_l, counts, b_time, b_events, *b_bits, *b_att, *b_col)
+    columns = list(zip(*batches[1:]))
+    counted = horizon - warmup
+    tx = [sum(column) for column in columns[7:]]
+    counts = dict(zip(EVENT_CLASSES, [counted - sum(tx)] + tx))
+    b_events = [batch_size] * (n_batches - 1)
+    b_events.append(counted - sum(b_events))
+    return _report(n_w, n_l, counts, b_events, *columns[:7])
 
 
 def _add_repeated(total: float, step: float, n: int) -> float:
@@ -249,7 +263,7 @@ def _detects(draw, p_d: float) -> bool:
     return p_d >= 1.0 or (p_d > 0.0 and draw() < p_d * 2.0 ** 64)
 
 
-def _report(n_w, n_l, counts, b_time, b_events, b_bits_w, b_bits_l,
+def _report(n_w, n_l, counts, b_events, b_time, b_bits_w, b_bits_l,
             b_att_w, b_att_l, b_col_w, b_col_l) -> SimReport:
     total_time = math.fsum(b_time)
     events = sum(b_events)

@@ -1,9 +1,17 @@
 import csv
 import io
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import laacoex
 from laacoex import cli
+
+SRC_DIR = Path(laacoex.__file__).resolve().parent.parent
 
 
 def parse_csv(text):
@@ -68,6 +76,35 @@ class TestRunCommand:
         code, _, err = run_cli(capsys, "run", str(bad))
         assert code == 2
         assert "txop_us" in err
+
+    @pytest.mark.parametrize("body, field", [
+        ("n_wifi: 1\nn_laa: 1\nwifi: {w0: 2.5}\n", "w0"),
+        ("n_wifi: 1\nn_laa: 1\nwifi: {m: 2000}\n", "m"),
+        ("n_wifi: 1\nn_laa: 1\nlaa: {w0: 2, m: 64}\n", "m"),
+        ("n_wifi: 1\nn_laa: 1\nlaa: {retry_limit: 1.0}\n", "retry_limit"),
+        ("n_wifi: 1.5\nn_laa: 1\n", "n_wifi"),
+        ("n_wifi: 1\nn_laa: true\n", "n_laa"),
+        ("n_wifi: 1\nn_laa: 1\ncomparison_mode: 'no'\n", "comparison_mode"),
+    ], ids=["w0-float", "m-overflow", "m-past-64-bits", "retry_limit-float",
+            "n_wifi-float", "n_laa-bool", "comparison_mode-string"])
+    def test_mistyped_count_or_flag_exits_2(self, tmp_path, capsys, body,
+                                             field):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(body)
+        code, out, err = run_cli(capsys, "run", str(bad),
+                                 "--engine", "both", "--horizon", "2000")
+        assert code == 2
+        assert out == ""
+        assert re.search(rf"\b{field}\b", err)
+
+    def test_largest_window_fits(self, tmp_path, capsys):
+        # w0 * 2**m = 2**64 is the largest window the simulator can draw
+        edge = tmp_path / "edge.yaml"
+        edge.write_text("n_wifi: 1\nn_laa: 1\nwifi: {w0: %d, m: 0}\n"
+                        "laa: {w0: 2, m: 63}\n" % 2 ** 64)
+        code, _, err = run_cli(capsys, "run", str(edge), "--engine", "both",
+                               "--horizon", "2000", "--warmup", "100")
+        assert code == 0, err
 
     def test_unknown_preset(self, capsys):
         code, _, err = run_cli(capsys, "run", "no_such_preset")
@@ -251,6 +288,26 @@ class TestPresets:
         assert float(all_wifi["coex_tput_wifi_mbps"]) == pytest.approx(
             float(all_wifi["wifi_only_total_mbps"]), rel=1e-12)
         assert float(mixed["coex_tput_wifi_mbps"]) > 0.0
+
+
+class TestImports:
+    def test_analytic_path_never_imports_numpy(self):
+        # numpy is the simulator's dependency; an analytic run must not
+        # pay for it, and the package still exports the simulator's names
+        script = (
+            "import contextlib, io, sys\n"
+            "import laacoex.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = laacoex.cli.main(['run', 'table4_case3'])\n"
+            "assert code == 0, code\n"
+            "assert 'numpy' not in sys.modules\n"
+            "from laacoex import simulate\n"
+            "assert 'numpy' in sys.modules and callable(simulate)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestRowShape:
