@@ -11,17 +11,18 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 
 import yaml
 
 from . import __version__
-from .core import Scenario, scenario_from_dict
+from .core import (Scenario, _YamlLoader, scenario_from_dict,
+                   scenario_to_dict)
 from .solver import (ConvergenceError, SolverConfig, solve_coexistence,
                      solve_wifi_only)
-from .throughput import (coexistence_throughput, event_durations,
-                         wifi_only_throughput)
+from .throughput import (_wifi_only_report, coexistence_throughput,
+                         event_durations, wifi_only_throughput)
 
 OUT_DIR_ENV = "LAACOEX_OUT_DIR"
 
@@ -49,6 +50,8 @@ class SweepSpec:
 
 def _check_axis_value(axis: str, value, base: Scenario) -> None:
     total = base.n_wifi + base.n_laa
+    if isinstance(value, bool):
+        raise ValueError(f"{axis} values must be numbers, got {value!r}")
     if axis == "total_nodes":
         if not (isinstance(value, int) and value >= 2 and value % 2 == 0):
             raise ValueError(
@@ -82,11 +85,6 @@ def sweep_spec_from_dict(data: dict) -> SweepSpec:
                      base=scenario_from_dict(data["base"]))
 
 
-def load_sweep_spec(path) -> SweepSpec:
-    with open(path, encoding="utf-8") as fh:
-        return sweep_spec_from_dict(yaml.safe_load(fh.read()))
-
-
 def _scenario_for_point(spec: SweepSpec, value) -> Scenario:
     base = spec.base
     if spec.axis == "total_nodes":
@@ -101,26 +99,22 @@ def _scenario_for_point(spec: SweepSpec, value) -> Scenario:
     return replace(base, p_dl=float(value))
 
 
-def _baseline_nodes(spec: SweepSpec, value) -> int:
-    if spec.axis == "total_nodes":
-        return value
-    return spec.base.n_wifi + spec.base.n_laa
-
-
 # ---------------------------------------------------------------------------
 # CSV assembly
 # ---------------------------------------------------------------------------
 
-_SCENARIO_COLUMNS = (
-    "n_wifi", "n_laa",
-    "wifi_w0", "wifi_m", "wifi_payload_bytes", "wifi_data_rate_mbps",
-    "wifi_control_rate_mbps", "wifi_phy_header_us", "wifi_mac_header_bytes",
-    "wifi_ack_bytes", "wifi_difs_us", "wifi_sifs_us", "wifi_slot_us",
-    "wifi_prop_delay_us",
-    "laa_w0", "laa_m", "laa_retry_limit", "laa_defer_us", "laa_txop_us",
-    "laa_next_tx_delay_us", "laa_data_rate_mbps", "laa_pdcch_fraction",
-    "p_dw", "p_dl", "comparison_mode",
-)
+def _scenario_cells(s: Scenario) -> dict:
+    """Effective parameters in ``scenario_to_dict`` order, groups prefixed."""
+    cells = {}
+    for key, value in scenario_to_dict(s.effective()).items():
+        if isinstance(value, dict):
+            cells.update((f"{key}_{name}", v) for name, v in value.items())
+        else:
+            cells[key] = value
+    return cells
+
+
+_SCENARIO_COLUMNS = tuple(_scenario_cells(Scenario(n_wifi=1, n_laa=0)))
 
 _RUN_COLUMNS = ("engine",) + _SCENARIO_COLUMNS + (
     "tau_w", "tau_l", "p_w", "p_l", "residual", "iterations",
@@ -141,36 +135,11 @@ _SWEEP_COLUMNS = ("axis", "axis_value", "status") + _SCENARIO_COLUMNS + (
 )
 
 
-def _scenario_cells(s: Scenario) -> dict:
-    """Effective (post-override) parameters, echoed into every row."""
-    eff = s.effective()
-    cells = {"n_wifi": eff.n_wifi, "n_laa": eff.n_laa,
-             "p_dw": eff.p_dw, "p_dl": eff.p_dl,
-             "comparison_mode": eff.comparison_mode}
-    for name in ("w0", "m", "payload_bytes", "data_rate_mbps",
-                 "control_rate_mbps", "phy_header_us", "mac_header_bytes",
-                 "ack_bytes", "difs_us", "sifs_us", "slot_us",
-                 "prop_delay_us"):
-        cells[f"wifi_{name}"] = getattr(eff.wifi, name)
-    for name in ("w0", "m", "retry_limit", "defer_us", "txop_us",
-                 "next_tx_delay_us", "data_rate_mbps", "pdcch_fraction"):
-        cells[f"laa_{name}"] = getattr(eff.laa, name)
-    return cells
-
-
 def _report_cells(rep) -> dict:
-    return {
-        "p_trw": rep.p_trw, "p_sw": rep.p_sw,
-        "p_trl": rep.p_trl, "p_sl": rep.p_sl,
-        "t_sw_us": rep.t_sw_us, "t_cw_us": rep.t_cw_us,
-        "t_sl_us": rep.t_sl_us, "t_cl_us": rep.t_cl_us,
-        "t_cc_us": rep.t_cc_us, "t_e_us": rep.t_e_us,
-        "tput_wifi_mbps": rep.tput_wifi_mbps,
-        "tput_laa_mbps": rep.tput_laa_mbps,
-        "tput_total_mbps": rep.tput_wifi_mbps + rep.tput_laa_mbps,
-        "per_user_wifi_mbps": rep.per_user_wifi_mbps,
-        "per_user_laa_mbps": rep.per_user_laa_mbps,
-    }
+    """Every ThroughputReport field under its own name, plus the total."""
+    cells = {f.name: getattr(rep, f.name) for f in fields(rep)}
+    cells["tput_total_mbps"] = rep.tput_wifi_mbps + rep.tput_laa_mbps
+    return cells
 
 
 def analytic_row(s: Scenario, cfg: SolverConfig) -> dict:
@@ -181,7 +150,7 @@ def analytic_row(s: Scenario, cfg: SolverConfig) -> dict:
     eff = s.effective()
     if eff.n_laa == 0:
         sol = solve_wifi_only(eff.n_wifi, eff.wifi.w0, eff.wifi.m, cfg)
-        rep = wifi_only_throughput(eff.n_wifi, eff.wifi, cfg)
+        rep = _wifi_only_report(eff.n_wifi, eff.wifi, sol)
     else:
         sol = solve_coexistence(eff, cfg)
         rep = coexistence_throughput(eff, sol)
@@ -262,16 +231,24 @@ def run_sweep(spec: SweepSpec, cfg: SolverConfig) -> tuple[list[dict], bool]:
     """
     rows = []
     any_failed = False
+    wifi_only = {}  # (n, WifiParams) -> report: one solve per baseline
+
+    def wifi_only_report(n, wifi):
+        if (n, wifi) not in wifi_only:
+            wifi_only[n, wifi] = wifi_only_throughput(n, wifi, cfg)
+        return wifi_only[n, wifi]
+
     for value in spec.values:
         point = _scenario_for_point(spec, value)
         row = {"axis": spec.axis, "axis_value": value, "status": "ok"}
         row.update(_scenario_cells(point))
         try:
-            n_only = _baseline_nodes(spec, value)
-            baseline = wifi_only_throughput(n_only, point.wifi, cfg)
+            # the baseline: the point's whole population, all Wi-Fi
+            baseline = wifi_only_report(point.n_wifi + point.n_laa,
+                                        point.wifi)
             eff = point.effective()
             if eff.n_laa == 0:
-                coex = wifi_only_throughput(eff.n_wifi, eff.wifi, cfg)
+                coex = wifi_only_report(eff.n_wifi, eff.wifi)
             else:
                 coex = coexistence_throughput(eff, solve_coexistence(eff, cfg))
             row.update(
@@ -343,7 +320,7 @@ def _load_input(arg: str) -> dict:
                 f"{arg!r} is neither a file nor a bundled preset; "
                 f"known presets: {', '.join(preset_names())}")
         text = candidate.read_text(encoding="utf-8")
-    data = yaml.safe_load(text)
+    data = yaml.load(text, Loader=_YamlLoader)
     if not isinstance(data, dict):
         raise ValueError(f"{arg!r} does not contain a mapping")
     return data
@@ -449,11 +426,16 @@ def _add_solver_flags(sub) -> None:
     sub.add_argument("--damping", type=float, default=0.5)
 
 
+_parser = None  # built by the first main call; parse_args never mutates it
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    global _parser
+    _parser = _parser or _build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConvergenceError as err:
+    except (ConvergenceError, OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
     except (ValueError, TypeError) as err:

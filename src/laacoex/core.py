@@ -6,10 +6,12 @@ across parallel workers.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, fields, replace
 
 import yaml
 
+from ._fields import check_field_types
 from .ed import EdConfig, detection_probability
 
 BITS_PER_BYTE = 8
@@ -21,14 +23,6 @@ _MAX_WINDOW_BITS = 64
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ValueError(message)
-
-
-def _require_int(obj, *names: str) -> None:
-    """Counts must be true integers: a float or a bool is rejected."""
-    for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _require_window(w0: int, m: int) -> None:
@@ -59,7 +53,7 @@ class WifiParams:
     prop_delay_us: float = 0.1
 
     def __post_init__(self) -> None:
-        _require_int(self, "w0", "m")
+        check_field_types(self)
         _require_window(self.w0, self.m)
         _require(self.payload_bytes >= 1, "payload_bytes must be >= 1")
         for name in ("data_rate_mbps", "control_rate_mbps", "phy_header_us",
@@ -83,10 +77,13 @@ class LaaParams:
     pdcch_fraction: float = 13.0 / 14.0  # share of the TXOP carrying data symbols
 
     def __post_init__(self) -> None:
-        _require_int(self, "w0", "m", "retry_limit")
+        check_field_types(self)
         _require_window(self.w0, self.m)
         _require(0 <= self.retry_limit <= 8, "retry_limit must be in [0, 8]")
         _require(0 < self.txop_us <= 10_000, "txop_us must be in (0, 10000]")
+        # bits per TXOP, pdcch_fraction * txop_us * rate, must stay finite
+        _require(self.data_rate_mbps <= 1e300,
+                 "data_rate_mbps must be <= 1e300")
         for name in ("defer_us", "next_tx_delay_us", "data_rate_mbps"):
             _require(getattr(self, name) > 0, f"{name} must be > 0")
         _require(0 < self.pdcch_fraction <= 1, "pdcch_fraction must be in (0, 1]")
@@ -149,10 +146,7 @@ class Scenario:
     comparison_mode: bool = False
 
     def __post_init__(self) -> None:
-        _require_int(self, "n_wifi", "n_laa")
-        if not isinstance(self.comparison_mode, bool):
-            raise ValueError("comparison_mode must be true or false, "
-                             f"got {self.comparison_mode!r}")
+        check_field_types(self)
         _require(self.n_wifi >= 0, "n_wifi must be >= 0")
         _require(self.n_laa >= 0, "n_laa must be >= 0")
         _require(self.n_wifi + self.n_laa >= 1, "n_wifi + n_laa must be >= 1")
@@ -203,6 +197,17 @@ class ThroughputReport:
 # ---------------------------------------------------------------------------
 # Scenario files (YAML): nested key/value, one mapping per parameter group.
 # ---------------------------------------------------------------------------
+
+class _YamlLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """Safe loader (libyaml when present) reading YAML 1.2 floats: ``8e3``
+    is a float, not YAML 1.1's string; ints resolve first, so 16 stays int."""
+
+
+_YamlLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."))
+
 
 _SCALAR_FIELDS = ("n_wifi", "n_laa", "p_dw", "p_dl", "comparison_mode")
 
@@ -289,7 +294,7 @@ def scenario_to_yaml(s: Scenario) -> str:
 
 
 def scenario_from_yaml(text: str) -> Scenario:
-    return scenario_from_dict(yaml.safe_load(text))
+    return scenario_from_dict(yaml.load(text, Loader=_YamlLoader))
 
 
 def load_scenario(path) -> Scenario:

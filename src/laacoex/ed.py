@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._fields import check_field_types, check_value
+
 
 def dbm_to_mw(x_dbm: float) -> float:
     """Convert a power from dBm to linear milliwatts."""
@@ -30,16 +32,20 @@ class EdConfig:
     samples: int              # sample count M averaged by the detector
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        # beyond 300 dBm (1e27 W), 10**(dBm/10) nears overflow or underflow
         for name in ("threshold_dbm", "signal_power_dbm", "noise_power_dbm"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+            if abs(getattr(self, name)) > 300.0:
+                raise ValueError(f"{name} must be within +-300 dBm")
 
     @classmethod
     def from_snr(cls, threshold_dbm: float, snr_db: float,
                  noise_power_dbm: float, samples: int) -> "EdConfig":
         """Operating point with the signal power given as SNR over the noise."""
+        check_value("snr_db", "float", snr_db)
+        check_value("noise_power_dbm", "float", noise_power_dbm)
         return cls(threshold_dbm, noise_power_dbm + snr_db,
                    noise_power_dbm, samples)
 

@@ -7,6 +7,7 @@ is the payload airtime delivered per expected event duration.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core import (LaaParams, Scenario, Solution, ThroughputReport,
@@ -70,6 +71,9 @@ def event_durations(wifi: WifiParams, laa: LaaParams) -> EventDurations:
     psize, mach, ack = derived_durations(wifi)
     t_sw = (mach + wifi.phy_header_us + psize + wifi.sifs_us
             + wifi.prop_delay_us + ack + wifi.difs_us + wifi.prop_delay_us)
+    if not math.isfinite(t_sw):  # finite inputs too large for their sum
+        raise OverflowError(f"t_sw_us is {t_sw}: a Wi-Fi time or rate is out "
+                            "of floating-point range")
     t_cw = mach + wifi.phy_header_us + psize + wifi.difs_us + wifi.prop_delay_us
     t_sl = laa.txop_us + laa.next_tx_delay_us
     t_cl = t_sl
@@ -133,14 +137,21 @@ def wifi_only_throughput(n: int, wifi: WifiParams,
     The expected event time reduces to the three-class form (idle, success,
     collision); all LAA fields of the report are zeroed.
     """
-    sol = solve_wifi_only(n, wifi.w0, wifi.m, cfg)
+    return _wifi_only_report(n, wifi, solve_wifi_only(n, wifi.w0, wifi.m, cfg))
+
+
+_ANY_LAA = LaaParams()
+
+
+def _wifi_only_report(n: int, wifi: WifiParams,
+                      sol: Solution) -> ThroughputReport:
+    """wifi_only_throughput's report at an already solved fixed point."""
     p_tr = 1.0 - (1.0 - sol.tau_w) ** n
     p_s = (min(1.0, n * sol.tau_w * (1.0 - sol.tau_w) ** (n - 1) / p_tr)
            if p_tr else 0.0)
-    psize, mach, ack = derived_durations(wifi)
-    t_sw = (mach + wifi.phy_header_us + psize + wifi.sifs_us
-            + wifi.prop_delay_us + ack + wifi.difs_us + wifi.prop_delay_us)
-    t_cw = mach + wifi.phy_header_us + psize + wifi.difs_us + wifi.prop_delay_us
+    psize, _, _ = derived_durations(wifi)
+    ed = event_durations(wifi, _ANY_LAA)  # only its Wi-Fi durations are used
+    t_sw, t_cw = ed.t_sw, ed.t_cw
     t_e = ((1.0 - p_tr) * wifi.slot_us + p_tr * p_s * t_sw
            + p_tr * (1.0 - p_s) * t_cw)
     tput = p_tr * p_s * psize * wifi.data_rate_mbps / t_e

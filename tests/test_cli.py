@@ -1,17 +1,30 @@
+import contextlib
 import csv
 import io
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import laacoex
-from laacoex import cli
+from laacoex import cli, solver, throughput
+from laacoex.core import LaaParams, WifiParams
 
 SRC_DIR = Path(laacoex.__file__).resolve().parent.parent
+GOLDEN_DIR = Path(__file__).resolve().parent.parent / "bench" / "golden"
+SWEEP_PRESETS = ("fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
+                 "fig12_class4", "fig13", "fig14")
+RUN_PRESETS = ("table4_case1", "table4_case2", "table4_case3", "table5",
+               "table6", "table7")
 
 
 def parse_csv(text):
@@ -26,6 +39,26 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def golden_body(name):
+    """A golden CSV without its version line."""
+    return (GOLDEN_DIR / f"{name}.csv").read_text(
+        encoding="utf-8").split("\n", 1)[1]
+
+
+def counting(monkeypatch, calls, *targets):
+    """Replace ``module.attr`` for each (module, attr) by a wrapper that
+    appends its first argument to ``calls``; one wrapped original is used
+    for every target, so a call through any of them counts once."""
+    real = getattr(*targets[0])
+
+    def wrapper(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    for module, attr in targets:
+        monkeypatch.setattr(module, attr, wrapper)
 
 
 class TestRunCommand:
@@ -85,10 +118,36 @@ class TestRunCommand:
         ("n_wifi: 1.5\nn_laa: 1\n", "n_wifi"),
         ("n_wifi: 1\nn_laa: true\n", "n_laa"),
         ("n_wifi: 1\nn_laa: 1\ncomparison_mode: 'no'\n", "comparison_mode"),
+        *((f"n_wifi: 1\nn_laa: 1\n{scalar}\n", field) for scalar, field in [
+            ("wifi: {payload_bytes: 2048.5}", "payload_bytes"),
+            ("wifi: {mac_header_bytes: 34.5}", "mac_header_bytes"),
+            ("wifi: {ack_bytes: 14.0}", "ack_bytes"),
+            ("wifi: {data_rate_mbps: .inf}", "data_rate_mbps"),
+            ("wifi: {prop_delay_us: .nan}", "prop_delay_us"),
+            ("wifi: {slot_us: true}", "slot_us"),
+            ("laa: {txop_us: '8000'}", "txop_us"),
+            ("laa: {pdcch_fraction: 1e400}", "pdcch_fraction"),
+            ("laa: {data_rate_mbps: 1e308}", "data_rate_mbps"),
+            ("p_dw: true", "p_dw"),
+            ("p_dl: '0.5'", "p_dl"),
+            ("ed_wifi: {threshold_dbm: -62, snr_db: 3, noise_power_dbm: -90, "
+             "samples: 10.5}", "samples"),
+            ("ed_laa: {threshold_dbm: -62, snr_db: true, "
+             "noise_power_dbm: -90, samples: 10}", "snr_db"),
+            ("ed_laa: {threshold_dbm: -62, snr_db: 3, "
+             "noise_power_dbm: '-90', samples: 10}", "noise_power_dbm"),
+            ("ed_wifi: {threshold_dbm: 0, signal_power_dbm: 3083.0, "
+             "noise_power_dbm: 0.0, samples: 1}", "signal_power_dbm"),
+        ]),
     ], ids=["w0-float", "m-overflow", "m-past-64-bits", "retry_limit-float",
-            "n_wifi-float", "n_laa-bool", "comparison_mode-string"])
+            "n_wifi-float", "n_laa-bool", "comparison_mode-string",
+            "payload-float", "mac_header-float", "ack-float", "rate-inf",
+            "prop_delay-nan", "slot-bool", "txop-string", "pdcch-overflow",
+            "laa-bits-overflow", "p_dw-bool", "p_dl-string", "samples-float",
+            "snr-bool", "noise-string", "signal-overflows"])
     def test_mistyped_count_or_flag_exits_2(self, tmp_path, capsys, body,
                                              field):
+        # values are checked, never coerced: each names its field
         bad = tmp_path / "bad.yaml"
         bad.write_text(body)
         code, out, err = run_cli(capsys, "run", str(bad),
@@ -96,6 +155,28 @@ class TestRunCommand:
         assert code == 2
         assert out == ""
         assert re.search(rf"\b{field}\b", err)
+
+    @pytest.mark.parametrize("engine", ["analytic", "simulate"])
+    def test_overflowing_durations_exit_3(self, tmp_path, capsys, engine):
+        # each input is finite, but the Wi-Fi success duration is not
+        bad = tmp_path / "huge.yaml"
+        bad.write_text("n_wifi: 1\nn_laa: 1\nwifi: {prop_delay_us: 1e308}\n")
+        code, out, err = run_cli(capsys, "run", str(bad), "--engine", engine,
+                                 "--horizon", "2000", "--warmup", "100")
+        assert code == 3
+        assert out == ""
+        assert "t_sw_us" in err
+
+    def test_exponent_floats_are_floats(self, tmp_path, capsys):
+        # YAML 1.2 reads 8e3 and 5e-1 as floats (YAML 1.1: strings)
+        scenario = tmp_path / "exp.yaml"
+        scenario.write_text("n_wifi: 1\nn_laa: 1\nlaa: {txop_us: 8e3}\n"
+                            "p_dw: 5e-1\n")
+        code, out, err = run_cli(capsys, "run", str(scenario))
+        assert code == 0, err
+        _, _, rows = parse_csv(out)
+        assert rows[0]["laa_txop_us"] == "8000.0"
+        assert rows[0]["p_dw"] == "0.5"
 
     def test_largest_window_fits(self, tmp_path, capsys):
         # w0 * 2**m = 2**64 is the largest window the simulator can draw
@@ -171,6 +252,17 @@ class TestSweepCommand:
         assert all(b > a for a, b in zip(totals, totals[1:]))
         assert [r["laa_retry_limit"] for r in rows] == [
             str(e) for e in range(1, 9)]
+
+    @pytest.mark.parametrize("axis", ["detection_wifi", "detection_laa",
+                                      "node_split", "retry_limit"])
+    def test_axis_rejects_bool(self, tmp_path, capsys, axis):
+        spec = tmp_path / "bools.yaml"
+        spec.write_text(f"axis: {axis}\nrange: [true, false]\n"
+                        "base: {n_wifi: 1, n_laa: 1}\n")
+        code, out, err = run_cli(capsys, "sweep", str(spec))
+        assert code == 2
+        assert out == ""
+        assert axis in err
 
     def test_bad_axis_value(self, tmp_path, capsys):
         spec = tmp_path / "odd.yaml"
@@ -308,6 +400,172 @@ class TestImports:
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+
+class TestGoldens:
+    def test_every_preset_in_one_process_matches_golden(self, capsys):
+        # all 15 requests in a row through the one cached parser; each body
+        # must equal the checked-in golden CSV apart from the version line
+        for command, names in (("sweep", SWEEP_PRESETS), ("run", RUN_PRESETS)):
+            for name in names:
+                code, out, err = run_cli(capsys, command, name)
+                assert code == 0, (name, err)
+                assert out.startswith("# laacoex ")
+                assert out.split("\n", 1)[1] == golden_body(name), name
+
+    def test_cached_parser_does_not_leak_flags(self, capsys):
+        code, out, _ = run_cli(capsys, "run", "table4_case3",
+                               "--tolerance", "1e-3")
+        assert code == 0
+        assert out.split("\n", 1)[1] != golden_body("table4_case3")
+        code, out, _ = run_cli(capsys, "run", "table4_case3")
+        assert code == 0
+        assert out.split("\n", 1)[1] == golden_body("table4_case3")
+
+
+class TestSolveCounts:
+    def test_sweep_solves_each_wifi_only_baseline_once(self, capsys,
+                                                       monkeypatch):
+        # fig10 holds the population at 20: one baseline for 19 points
+        calls = []
+        counting(monkeypatch, calls, (throughput, "solve_wifi_only"))
+        code, out, _ = run_cli(capsys, "sweep", "fig10")
+        assert code == 0
+        assert calls == [20]
+        assert out.split("\n", 1)[1] == golden_body("fig10")
+
+    def test_pure_wifi_sweep_point_reuses_its_baseline(self, tmp_path,
+                                                       capsys, monkeypatch):
+        # at node_split 20 the coexistence column is the n=20 baseline
+        spec = tmp_path / "edges.yaml"
+        spec.write_text("axis: node_split\nrange: [20, 10, 20]\n"
+                        "base: {n_wifi: 10, n_laa: 10}\n")
+        calls = []
+        counting(monkeypatch, calls, (throughput, "solve_wifi_only"))
+        code, out, _ = run_cli(capsys, "sweep", str(spec))
+        assert code == 0
+        assert calls == [20]
+        _, _, rows = parse_csv(out)
+        assert rows[0] == rows[2]
+        assert rows[0]["coex_total_mbps"] == rows[0]["wifi_only_total_mbps"]
+
+    def test_failed_baseline_is_retried_per_point(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # a ConvergenceError is not remembered: each point reports its own
+        spec = tmp_path / "stuck.yaml"
+        spec.write_text("axis: total_nodes\nrange: [4, 4]\n"
+                        "base: {n_wifi: 1, n_laa: 1}\n")
+        calls = []
+        counting(monkeypatch, calls, (throughput, "solve_wifi_only"))
+        code, out, _ = run_cli(capsys, "sweep", str(spec),
+                               "--tolerance", "1e-300")
+        assert code == 3
+        assert calls == [4, 4]
+        _, _, rows = parse_csv(out)
+        assert all(r["status"].startswith("no-convergence") for r in rows)
+
+    def test_wifi_only_run_solves_once(self, capsys, monkeypatch):
+        calls = []
+        counting(monkeypatch, calls, (solver, "solve_coexistence"),
+                 (cli, "solve_coexistence"))
+        code, out, _ = run_cli(capsys, "run", "table4_case1")
+        assert code == 0
+        assert len(calls) == 1
+        assert out.split("\n", 1)[1] == golden_body("table4_case1")
+
+    def test_repeated_request_solves_again(self, capsys, monkeypatch):
+        # no result outlives a request
+        calls = []
+        counting(monkeypatch, calls, (throughput, "solve_wifi_only"))
+        for _ in range(2):
+            assert run_cli(capsys, "sweep", "fig10")[0] == 0
+        assert calls == [20, 20]
+
+
+# Schema keys of a scenario file, each with a strategy for values that pass
+# its own check (defaults: positive real), and junk a user might type.
+_GROUP_KEYS = {
+    "wifi": tuple(f.name for f in fields(WifiParams)),
+    "laa": tuple(f.name for f in fields(LaaParams)),
+    "ed_wifi": ("threshold_dbm", "signal_power_dbm", "snr_db",
+                "noise_power_dbm", "samples"),
+}
+_GROUP_KEYS["ed_laa"] = _GROUP_KEYS["ed_wifi"]
+_TOP_KEYS = ("n_wifi", "n_laa", "p_dw", "p_dl", "comparison_mode")
+_ALL_KEYS = set(_TOP_KEYS).union(_GROUP_KEYS, *_GROUP_KEYS.values())
+
+_dbm = st.floats(-150.0, 50.0)
+_VALID = {
+    "n_wifi": st.integers(0, 8), "n_laa": st.integers(0, 8),
+    "p_dw": st.floats(0.0, 1.0), "p_dl": st.floats(0.0, 1.0),
+    "pdcch_fraction": st.floats(1e-3, 1.0), "txop_us": st.floats(1.0, 1e4),
+    "comparison_mode": st.booleans(),
+    "w0": st.integers(1, 1024), "m": st.integers(0, 10),
+    "retry_limit": st.integers(0, 8), "payload_bytes": st.integers(1, 10**6),
+    "mac_header_bytes": st.integers(0, 100), "ack_bytes": st.integers(0, 100),
+    "samples": st.integers(1, 10**4), "threshold_dbm": _dbm,
+    "signal_power_dbm": _dbm, "snr_db": _dbm, "noise_power_dbm": _dbm,
+}
+_junk = st.one_of(
+    st.integers(-2, 10**400),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+    st.sampled_from(["8000", "8e3", "5e-1", "1e308", "1e400", "-.inf",
+                     "true", "x"]),
+)
+
+
+def _value(key):
+    # junk in one draw of ten, so that most files get into the solver
+    valid = _VALID.get(key, st.floats(1e-3, 1e5))
+    return st.integers(0, 9).flatmap(lambda i: _junk if i == 0 else valid)
+
+
+def _group(name, keys):
+    required = ("threshold_dbm", "noise_power_dbm", "samples")
+    if not name.startswith("ed_"):
+        required = ()
+    return st.fixed_dictionaries(
+        {k: _value(k) for k in required},
+        optional={k: _value(k) for k in keys if k not in required})
+
+
+_scenario_files = st.fixed_dictionaries(
+    {"n_wifi": _value("n_wifi"), "n_laa": _value("n_laa")},
+    optional={**{k: _value(k) for k in _TOP_KEYS[2:]},
+              **{g: _group(g, keys) for g, keys in _GROUP_KEYS.items()}})
+
+
+class TestRunProperties:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_scenario_files)
+    def test_any_scenario_file_exits_cleanly(self, data):
+        # exit 0 with finite numbers, or 2 naming a field or the file, or
+        # 3 for a numeric failure; never a traceback
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "scenario.yaml")
+            with open(path, "w", encoding="utf-8") as fh:
+                yaml.safe_dump(data, fh)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = cli.main(["run", path])
+        assert code in (0, 2, 3), err.getvalue()
+        if code == 2:
+            message = err.getvalue()
+            assert path in message or any(
+                re.search(rf"\b{key}\b", message) for key in _ALL_KEYS), \
+                message
+        if code == 0:
+            _, _, rows = parse_csv(out.getvalue())
+            for column, cell in rows[0].items():
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue
+                assert math.isfinite(value), (column, cell)
 
 
 class TestRowShape:

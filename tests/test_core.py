@@ -1,7 +1,9 @@
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import laacoex.core as core
 from laacoex.core import (LaaParams, Scenario, WifiParams, derived_durations,
                           load_priority_class, scenario_from_dict,
                           scenario_from_yaml, scenario_to_dict,
@@ -149,6 +151,37 @@ class TestScenarioFiles:
                 "ed_wifi": {"threshold_dbm": -72.0, "snr_db": 22.0,
                             "noise_power_dbm": -94.0, "samples": 680},
             })
+
+
+def load_yaml(text):
+    return yaml.load(text, Loader=core._YamlLoader)
+
+
+class TestYamlLoader:
+    def test_yaml_12_exponent_floats(self):
+        data = load_yaml("a: 8e3\nb: 5e-1\nc: 1e308\nd: 16\ne: -1E+3\n")
+        assert data == {"a": 8000.0, "b": 0.5, "c": 1e308, "d": 16,
+                        "e": -1000.0}
+        assert [type(v) for v in data.values()] == [float, float, float,
+                                                      int, float]
+
+    def test_yaml_11_forms_unchanged(self):
+        data = load_yaml("a: 1.5\nb: .inf\nc: 0x10\nd: '8e3'\ne: 08\n")
+        assert data == {"a": 1.5, "b": float("inf"), "c": 16, "d": "8e3",
+                        "e": "08"}
+
+    def test_global_safe_loader_untouched(self):
+        assert yaml.safe_load("a: 8e3") == {"a": "8e3"}
+
+    def test_scenario_from_yaml_reads_exponent_floats(self):
+        s = scenario_from_yaml(
+            "n_wifi: 1\nn_laa: 1\nlaa: {txop_us: 8e3}\np_dw: 5e-1\n")
+        assert s.laa.txop_us == 8000.0
+        assert s.p_dw == 0.5
+
+    def test_libyaml_backs_the_loader_when_present(self):
+        assert issubclass(core._YamlLoader, yaml.CSafeLoader
+                          if yaml.__with_libyaml__ else yaml.SafeLoader)
 
 
 class TestComparisonMode:

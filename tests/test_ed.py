@@ -60,3 +60,20 @@ class TestDetectionProbability:
             EdConfig(-72.0, -72.0, -94.0, samples=0)
         with pytest.raises(ValueError):
             EdConfig(math.inf, -72.0, -94.0, samples=680)
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda: EdConfig(-72.0, -72.0, -94.0, samples=10.5), "samples"),
+        (lambda: EdConfig(-72.0, -72.0, -94.0, samples=True), "samples"),
+        (lambda: EdConfig(True, -72.0, -94.0, samples=680), "threshold_dbm"),
+        (lambda: EdConfig(-72.0, 3083.0, -94.0, samples=680),
+         "signal_power_dbm"),
+        (lambda: EdConfig(-72.0, -72.0, -5000.0, samples=680),
+         "noise_power_dbm"),
+        (lambda: EdConfig.from_snr(-72.0, "22", -94.0, 680), "snr_db"),
+        (lambda: EdConfig.from_snr(-72.0, 22.0, "-94", 680),
+         "noise_power_dbm"),
+    ])
+    def test_each_rejection_names_its_field(self, build, field):
+        # out-of-range powers would overflow 10**(dBm/10) or divide 0 by 0
+        with pytest.raises(ValueError, match=field):
+            build()
