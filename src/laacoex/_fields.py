@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import fields
+from functools import cache
 
 # annotation -> accepted types and the phrase an error names them by
 _RULES = {"int": ((int,), "an integer"),
@@ -21,9 +22,14 @@ def check_value(name: str, kind: str, value) -> None:
         raise ValueError(f"{name} must be {phrase}, got {value!r}")
 
 
+@cache
+def _typed_fields(cls) -> tuple[tuple[str, str], ...]:
+    """(name, kind) of every int, float and bool field of a dataclass."""
+    kinds = ((f.name, getattr(f.type, "__name__", f.type)) for f in fields(cls))
+    return tuple((name, kind) for name, kind in kinds if kind in _RULES)
+
+
 def check_field_types(obj) -> None:
     """check_value on every int, float and bool field of a dataclass."""
-    for f in fields(obj):
-        kind = getattr(f.type, "__name__", f.type)
-        if kind in _RULES:
-            check_value(f.name, kind, getattr(obj, f.name))
+    for name, kind in _typed_fields(type(obj)):
+        check_value(name, kind, getattr(obj, name))

@@ -172,6 +172,7 @@ class Solution:
     p_l: float         # conditional collision probability seen by an LAA eNB
     residual: float    # max |tau - map(tau)| at the returned point
     iterations: int
+    method: str = "damped"   # or "bisection": the fallback found the point
 
 
 @dataclass(frozen=True)

@@ -18,28 +18,42 @@ from dataclasses import dataclass
 _POLE_EPS = 1e-9
 
 
-def _geometric_sum(x: float, terms: int) -> float:
-    """Sum of x**j for j in range(terms), with the removable pole at x = 1."""
-    if terms <= 0:
-        return 0.0
-    if abs(1.0 - x) < _POLE_EPS:
-        return float(terms)
-    return (1.0 - x ** terms) / (1.0 - x)
-
-
 def _check_collision_probability(p: float) -> None:
     if not 0.0 <= p < 1.0:
         raise ValueError(f"collision probability must be in [0, 1), got {p!r}")
 
 
-def _chain_tau(w0: int, m: int, extra_stages: int, p: float) -> float:
-    # Occupancy of the transmit states is proportional to sum_j p^j over all
-    # stages; the window term aggregates the mean residual backoff per stage.
-    n_stages = m + extra_stages + 1
-    transmit = _geometric_sum(p, n_stages)
-    windows = _geometric_sum(2.0 * p, m + 1) \
-        + 2.0 ** m * p ** (m + 1) * _geometric_sum(p, extra_stages)
-    return 2.0 / (w0 * windows / transmit + 1.0)
+def chain_tau(w0: int, m: int, extra_stages: int):
+    """tau(p) of a chain that holds the top window for ``extra_stages``
+    further failures, with the chain's constants bound once.
+
+    Occupancy of the transmit states is proportional to sum_j p^j over all
+    stages; the window term aggregates the mean residual backoff per stage.
+    Each geometric sum (1 - x^n)/(1 - x) takes its limit n at the removable
+    pole x = 1. ``w0`` and ``m`` are not checked here. Counts are bound as
+    floats, which is what ``float ** int`` converts them to anyway.
+    """
+    w0, top = float(w0), 2.0 ** m
+    n_stages, held_terms, head_terms = map(float, (m + extra_stages + 1,
+                                                   extra_stages, m + 1))
+
+    def tau(p: float) -> float:
+        if not 0.0 <= p < 1.0:
+            _check_collision_probability(p)
+        q = 1.0 - p                     # > 0 from here on
+        if q < _POLE_EPS:
+            transmit, held = n_stages, held_terms
+        else:
+            transmit = (1.0 - p ** n_stages) / q
+            held = (1.0 - p ** held_terms) / q
+        x = 2.0 * p
+        q2 = 1.0 - x
+        heads = (head_terms if -_POLE_EPS < q2 < _POLE_EPS
+                 else (1.0 - x ** head_terms) / q2)
+        return 2.0 / (w0 * (heads + top * p ** head_terms * held)
+                      / transmit + 1.0)
+
+    return tau
 
 
 def wifi_tau(w0: int, m: int, p_w: float) -> float:
@@ -52,7 +66,7 @@ def wifi_tau(w0: int, m: int, p_w: float) -> float:
     if w0 < 1 or m < 0:
         raise ValueError("w0 must be >= 1 and m >= 0")
     _check_collision_probability(p_w)
-    return _chain_tau(w0, m, 1, p_w)
+    return chain_tau(w0, m, 1)(p_w)
 
 
 def laa_tau(w0: int, m: int, e_l: int, p_l: float) -> float:
@@ -66,7 +80,7 @@ def laa_tau(w0: int, m: int, e_l: int, p_l: float) -> float:
     if not 0 <= e_l <= 8:
         raise ValueError("e_l must be in [0, 8]")
     _check_collision_probability(p_l)
-    return _chain_tau(w0, m, e_l, p_l)
+    return chain_tau(w0, m, e_l)(p_l)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,10 @@ from .core import Scenario, derived_durations
 from .throughput import event_durations
 
 _BATCHES = 100          # batch-means groups for standard-error estimates
-_POOL_CHUNK = 1 << 16   # uint64 draws fetched from the generator at a time
+# uint64 draws fetched from the generator at a time. Each is one raw PCG64
+# output, so the stream does not depend on it; 30k events at 2-6 stations
+# take 6k-53k draws.
+_POOL_CHUNK = 1 << 12
 
 
 def _draws(seed: int):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Scenario, Solution, WifiParams
-from .markov import laa_tau, wifi_tau
+from .markov import chain_tau
 
 # Numerical guard: the chain formulas are undefined at p = 1, which only
 # arises transiently inside bracketing searches.
@@ -54,96 +54,87 @@ class ConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
-def _collision_probabilities(s: Scenario, tau_w: float,
-                             tau_l: float) -> tuple[float, float]:
-    """Per-node collision probabilities given both access probabilities.
+def _compile_map(s: Scenario):
+    """Bind the scenario's constants once for a whole solve.
 
-    The cross-network term is weighted by the detection probability; with
-    perfect detection this reduces to the plain at-least-one-other-transmits
-    form, so one code path serves both models.
+    Returns the coupled map (tau_w, tau_l) -> (new_w, new_l, p_w, p_l), one
+    application of tau -> chain(collision(tau)), and ``laa_side``, its LAA
+    half alone: (tau_w, tau_l) -> (new_l, p_l), or None without LAA nodes.
+    A Wi-Fi AP collides when any other station transmits, the cross-network
+    term weighted by the detection probability; with perfect detection this
+    reduces to the plain at-least-one-other-transmits form, so one code path
+    serves both models. The LAA side is symmetric.
     """
-    n_w, n_l = s.n_wifi, s.n_laa
-    p_w = p_l = 0.0
+    n_w, n_l, p_dw, p_dl = s.n_wifi, s.n_laa, s.p_dw, s.p_dl
+    # counts as floats, which is what ``float ** int`` converts them to
+    w_all, l_all, w_others, l_others = map(float, (n_w, n_l, n_w - 1, n_l - 1))
+    laa_side = None
     if n_w:
-        own_idle = (1.0 - tau_w) ** (n_w - 1)
-        p_w = (1.0 - (1.0 - tau_l) ** n_l) * s.p_dw * own_idle \
-            + 1.0 - own_idle
+        # Comparison mode mirrors the testbed MAC, which resets the stage
+        # right after m instead of staying one extra round at the top window.
+        wifi = chain_tau(s.wifi.w0, s.wifi.m, 0 if s.comparison_mode else 1)
     if n_l:
-        own_idle = (1.0 - tau_l) ** (n_l - 1)
-        p_l = (1.0 - (1.0 - tau_w) ** n_w) * s.p_dl * own_idle \
-            + 1.0 - own_idle
-    return p_w, p_l
+        laa = chain_tau(s.laa.w0, s.laa.m, s.laa.retry_limit)
+
+        def laa_side(tau_w: float, tau_l: float):
+            own_idle = (1.0 - tau_l) ** l_others
+            p_l = (1.0 - (1.0 - tau_w) ** w_all) * p_dl * own_idle \
+                + 1.0 - own_idle
+            # min(p_l, _P_MAX), which keeps a NaN for the chain to refuse
+            return laa(_P_MAX if _P_MAX < p_l else p_l), p_l
+
+    def mapped(tau_w: float, tau_l: float):
+        new_w = p_w = 0.0
+        if n_w:
+            own_idle = (1.0 - tau_w) ** w_others
+            p_w = (1.0 - (1.0 - tau_l) ** l_all) * p_dw * own_idle \
+                + 1.0 - own_idle
+            new_w = wifi(_P_MAX if _P_MAX < p_w else p_w)
+        new_l, p_l = laa_side(tau_w, tau_l) if n_l else (0.0, 0.0)
+        return new_w, new_l, p_w, p_l
+
+    return mapped, laa_side
 
 
-def _wifi_chain(s: Scenario, p: float) -> float:
-    # Comparison mode mirrors the testbed MAC, which resets the stage right
-    # after m instead of staying one extra round at the top window.
-    if s.comparison_mode:
-        return laa_tau(s.wifi.w0, s.wifi.m, 0, min(p, _P_MAX))
-    return wifi_tau(s.wifi.w0, s.wifi.m, min(p, _P_MAX))
+def _bisect(shifted) -> tuple[float, int]:
+    """Root of an increasing ``shifted`` on [0, 1] and the steps taken.
 
-
-def _laa_chain(s: Scenario, p: float) -> float:
-    return laa_tau(s.laa.w0, s.laa.m, s.laa.retry_limit, min(p, _P_MAX))
-
-
-def _mapped(s: Scenario, tau_w: float, tau_l: float):
-    """One application of the coupled map tau -> chain(collision(tau))."""
-    p_w, p_l = _collision_probabilities(s, tau_w, tau_l)
-    new_w = _wifi_chain(s, p_w) if s.n_wifi else 0.0
-    new_l = _laa_chain(s, p_l) if s.n_laa else 0.0
-    return new_w, new_l, p_w, p_l
-
-
-def _laa_partial_fixed_point(s: Scenario, tau_w: float) -> float:
-    """Solve tau_l = chain(collision(tau_w, tau_l)) by bisection, tau_w held."""
-    if not s.n_laa:
-        return 0.0
-
-    def shifted(tau_l: float) -> float:
-        _, p_l = _collision_probabilities(s, tau_w, tau_l)
-        return tau_l - _laa_chain(s, p_l)
-
+    Stops at width _BISECT_WIDTH, or once the midpoint rounds onto an end:
+    on [0.5, 1) neighbouring floats are 2**-53 apart, wider than the width.
+    """
     lo, hi = 0.0, 1.0
     if shifted(hi) < 0.0:
-        return hi
+        return hi, 0
+    steps = 0
     while hi - lo > _BISECT_WIDTH:
         mid = 0.5 * (lo + hi)
+        steps += 1
+        if not lo < mid < hi:   # the result is mid, as if lo and hi met
+            break
         if shifted(mid) < 0.0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return 0.5 * (lo + hi), steps
 
 
-def _solve_by_bisection(s: Scenario, cfg: SolverConfig,
+def _laa_partial_fixed_point(laa_side, tau_w: float) -> float:
+    """Solve tau_l = chain(collision(tau_w, tau_l)) by bisection, tau_w held."""
+    if laa_side is None:
+        return 0.0
+    return _bisect(lambda tau_l: tau_l - laa_side(tau_w, tau_l)[0])[0]
+
+
+def _solve_by_bisection(mapped, laa_side, has_wifi: bool, cfg: SolverConfig,
                         spent_iterations: int) -> Solution:
     """Scalarized fallback: outer bisection on tau_w, nested solve for tau_l."""
-    steps = 0
+    tau_w, steps = 0.0, 0
+    if has_wifi:
+        tau_w, steps = _bisect(lambda w: w - mapped(
+            w, _laa_partial_fixed_point(laa_side, w))[0])
+    tau_l = _laa_partial_fixed_point(laa_side, tau_w)
 
-    if s.n_wifi:
-        def shifted(tau_w: float) -> float:
-            new_w, _, _, _ = _mapped(s, tau_w,
-                                     _laa_partial_fixed_point(s, tau_w))
-            return tau_w - new_w
-
-        lo, hi = 0.0, 1.0
-        if shifted(hi) < 0.0:
-            tau_w = hi
-        else:
-            while hi - lo > _BISECT_WIDTH:
-                mid = 0.5 * (lo + hi)
-                if shifted(mid) < 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-                steps += 1
-            tau_w = 0.5 * (lo + hi)
-    else:
-        tau_w = 0.0
-    tau_l = _laa_partial_fixed_point(s, tau_w)
-
-    new_w, new_l, p_w, p_l = _mapped(s, tau_w, tau_l)
+    new_w, new_l, p_w, p_l = mapped(tau_w, tau_l)
     residual = max(abs(new_w - tau_w), abs(new_l - tau_l))
     iterations = spent_iterations + steps
     if residual > cfg.tolerance:
@@ -154,7 +145,8 @@ def _solve_by_bisection(s: Scenario, cfg: SolverConfig,
             tau_w=tau_w, tau_l=tau_l, residual=residual,
             iterations=iterations)
     return Solution(tau_w=tau_w, tau_l=tau_l, p_w=p_w, p_l=p_l,
-                    residual=residual, iterations=iterations)
+                    residual=residual, iterations=iterations,
+                    method="bisection")
 
 
 # Stall detection: the residual must at least halve over this many damped
@@ -176,25 +168,29 @@ def solve_coexistence(s: Scenario, cfg: SolverConfig = SolverConfig()) -> Soluti
     damped iteration nor the bisection fallback meets the tolerance.
     """
     s = s.effective()
+    mapped, laa_side = _compile_map(s)
     tau_w = 2.0 / (s.wifi.w0 + 1.0) if s.n_wifi else 0.0
     tau_l = 2.0 / (s.laa.w0 + 1.0) if s.n_laa else 0.0
 
+    tolerance, damping = cfg.tolerance, cfg.damping
     checkpoint = float("inf")
     iteration = 0
     for iteration in range(1, cfg.max_iterations + 1):
-        new_w, new_l, p_w, p_l = _mapped(s, tau_w, tau_l)
-        residual = max(abs(new_w - tau_w), abs(new_l - tau_l))
-        if residual <= cfg.tolerance:
+        new_w, new_l, p_w, p_l = mapped(tau_w, tau_l)
+        step_w, step_l = new_w - tau_w, new_l - tau_l
+        residual = max(abs(step_w), abs(step_l))
+        if residual <= tolerance:
             return Solution(tau_w=tau_w, tau_l=tau_l, p_w=p_w, p_l=p_l,
                             residual=residual, iterations=iteration)
         if iteration % _STALL_WINDOW == 0:
             if residual > 0.5 * checkpoint:
                 break
             checkpoint = residual
-        tau_w += cfg.damping * (new_w - tau_w)
-        tau_l += cfg.damping * (new_l - tau_l)
+        tau_w += damping * step_w
+        tau_l += damping * step_l
 
-    return _solve_by_bisection(s, cfg, iteration)
+    return _solve_by_bisection(mapped, laa_side, bool(s.n_wifi), cfg,
+                               iteration)
 
 
 def solve_wifi_only(n: int, w0: int, m: int,

@@ -537,6 +537,40 @@ _scenario_files = st.fixed_dictionaries(
               **{g: _group(g, keys) for g, keys in _GROUP_KEYS.items()}})
 
 
+def _run_file(data, *flags):
+    """cli.main(["run", file, *flags]) on ``data`` dumped to a YAML file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scenario.yaml")
+        with open(path, "w", encoding="utf-8") as fh:
+            yaml.safe_dump(data, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["run", path, *flags])
+    return code, path, out.getvalue(), err.getvalue()
+
+
+# Small windows put the fixed point in [0.5, 1), where neighbouring floats
+# are further apart than the bisection width; tiny budgets force the
+# fallback and tiny tolerances its ConvergenceError.
+_small_window_files = st.fixed_dictionaries(
+    {"n_wifi": st.integers(0, 6), "n_laa": st.integers(0, 6),
+     "wifi": st.fixed_dictionaries({"w0": st.sampled_from([1, 2, 4, 16]),
+                                    "m": st.integers(0, 6)}),
+     "laa": st.fixed_dictionaries({"w0": st.sampled_from([1, 2, 4, 16]),
+                                   "m": st.integers(0, 6),
+                                   "retry_limit": st.integers(0, 8)})},
+    optional={"p_dw": st.floats(0.0, 1.0), "p_dl": st.floats(0.0, 1.0),
+              "comparison_mode": st.booleans()})
+_solver_flags = st.tuples(
+    st.one_of(st.floats(1e-300, 1e-2), st.sampled_from(
+        [0.0, -1e-10, float("nan"), float("inf")])),
+    st.one_of(st.integers(1, 5), st.integers(6, 10000), st.integers(-1, 0)),
+    st.one_of(st.floats(1e-3, 1.0), st.sampled_from(
+        [0.0, 1.5, float("nan")])),
+).map(lambda t: (f"--tolerance={t[0]!r}", f"--max-iterations={t[1]}",
+                 f"--damping={t[2]!r}"))
+
+
 class TestRunProperties:
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -544,28 +578,44 @@ class TestRunProperties:
     def test_any_scenario_file_exits_cleanly(self, data):
         # exit 0 with finite numbers, or 2 naming a field or the file, or
         # 3 for a numeric failure; never a traceback
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "scenario.yaml")
-            with open(path, "w", encoding="utf-8") as fh:
-                yaml.safe_dump(data, fh)
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), \
-                    contextlib.redirect_stderr(err):
-                code = cli.main(["run", path])
-        assert code in (0, 2, 3), err.getvalue()
+        code, path, out, err = _run_file(data)
+        assert code in (0, 2, 3), err
         if code == 2:
-            message = err.getvalue()
-            assert path in message or any(
-                re.search(rf"\b{key}\b", message) for key in _ALL_KEYS), \
-                message
+            assert path in err or any(
+                re.search(rf"\b{key}\b", err) for key in _ALL_KEYS), err
         if code == 0:
-            _, _, rows = parse_csv(out.getvalue())
+            _, _, rows = parse_csv(out)
             for column, cell in rows[0].items():
                 try:
                     value = float(cell)
                 except ValueError:
                     continue
                 assert math.isfinite(value), (column, cell)
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_small_window_files, _solver_flags)
+    def test_any_solver_flags_exit_cleanly(self, data, flags):
+        code, _, _, err = _run_file(data, *flags)
+        assert code in (0, 2, 3), err
+
+
+class TestBisectionFallback:
+    @pytest.mark.parametrize("group, budget", [
+        ("wifi: {w0: 2, m: 3}", 1), ("wifi: {w0: 2, m: 3}", 5),
+        ("laa: {w0: 2}", 1)])
+    def test_root_above_half_terminates(self, tmp_path, group, budget):
+        # with w0 = 2 the fallback's root lies in [0.5, 1), where the
+        # bisection once spun forever on two neighbouring floats
+        path = tmp_path / "scenario.yaml"
+        path.write_text(f"n_wifi: 1\nn_laa: 1\n{group}\n", encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "laacoex.cli", "run", str(path),
+             "--max-iterations", str(budget)],
+            env=env, capture_output=True, text=True, timeout=30)
+        assert proc.returncode in (0, 3), proc.stderr
 
 
 class TestRowShape:

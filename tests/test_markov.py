@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from laacoex.markov import (laa_stationary, laa_tau, wifi_stationary,
-                            wifi_tau)
+from laacoex.markov import (chain_tau, laa_stationary, laa_tau,
+                            wifi_stationary, wifi_tau)
 
 PROB_GRID = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 W0_GRID = [2, 4, 8, 16, 32, 64]
@@ -36,6 +36,14 @@ class TestWifiTau:
     def test_collision_certain_rejected(self):
         with pytest.raises(ValueError):
             wifi_tau(16, 6, 1.0)
+
+    @pytest.mark.parametrize("p", [float("nan"), -0.1, 1.0])
+    def test_bound_chain_rejects_invalid_probability(self, p):
+        # the closure the solver binds once per solve keeps the range check
+        with pytest.raises(ValueError, match="collision probability"):
+            chain_tau(16, 6, 1)(p)
+        with pytest.raises(ValueError, match="collision probability"):
+            laa_tau(16, 6, 2, p)
 
     @pytest.mark.parametrize("p", PROB_GRID)
     def test_decreasing_in_window(self, p):

@@ -202,6 +202,7 @@ class TestSolverConfig:
         cfg = SolverConfig(max_iterations=1)
         sol = solve_coexistence(make_scenario(4, 4), cfg)
         assert sol.residual <= cfg.tolerance
+        assert sol.method == "bisection"
 
     def test_unreachable_tolerance_raises_with_iterate(self):
         cfg = SolverConfig(tolerance=1e-300, max_iterations=500)
@@ -212,3 +213,128 @@ class TestSolverConfig:
         assert 0.0 < err.tau_l < 1.0
         assert err.residual > 0.0
         assert err.iterations > 0
+
+
+def _hex(*values):
+    return tuple(float.fromhex(v) for v in values)
+
+
+# Solutions pinned as float.hex: (scenario, config, method,
+# (tau_w, tau_l, p_w, p_l, residual), iterations). Windows stay at 4 or more
+# wherever the bisection fallback runs.
+REFERENCE_SOLUTIONS = {
+    "damped": (dict(n_wifi=2, n_laa=2), {}, "damped", _hex(
+        "0x1.57fc957f8ad38p-4", "0x1.57fc957f8ad38p-4",
+        "0x1.d9dc4653178b4p-3", "0x1.d9dc4653178b4p-3",
+        "0x1.fe46f00000000p-36"), 17),
+    "fallback": (dict(n_wifi=4, n_laa=4), dict(max_iterations=1),
+                 "bisection", _hex(
+        "0x1.eade427cfe37cp-5", "0x1.eade427cfe374p-5",
+        "0x1.6790bdb7cc024p-2", "0x1.6790bdb7cc024p-2",
+        "0x1.8000000000000p-55"), 55),
+    "fallback_comparison": (
+        dict(n_wifi=3, n_laa=2, w0w=4, mw=2, w0l=4, ml=2, comparison=True),
+        dict(max_iterations=3), "bisection", _hex(
+            "0x1.d72b4d32ef5dfp-3", "0x1.d72b4d32ef5dfp-3",
+            "0x1.4c134c45b8ec4p-1", "0x1.4c134c45b8ec4p-1",
+            "0x1.0000000000000p-55"), 57),
+    "fallback_laa_only": (
+        dict(n_wifi=0, n_laa=3, w0l=8, ml=1, e_l=2), dict(max_iterations=2),
+        "bisection", _hex("0x0.0p+0", "0x1.649427d36fac1p-3", "0x0.0p+0",
+                          "0x1.4589618b4d97ep-2", "0x0.0p+0"), 2),
+    "fallback_wifi_only": (
+        dict(n_wifi=5, n_laa=0, w0w=8, mw=3), dict(max_iterations=4),
+        "bisection", _hex("0x1.f202ac696a30ep-4", "0x0.0p+0",
+                          "0x1.9e52b501a52f2p-2", "0x0.0p+0",
+                          "0x1.0000000000000p-55"), 58),
+    "fallback_detection": (
+        dict(n_wifi=2, n_laa=3, p_dw=0.3, p_dl=0.8), dict(max_iterations=5),
+        "bisection", _hex("0x1.8e3a76657ee12p-4", "0x1.376163faf9acap-4",
+                          "0x1.3c3d4f928f4d0p-3", "0x1.172791d4aa8f4p-2",
+                          "0x1.8000000000000p-55"), 59),
+    "detection": (dict(n_wifi=5, n_laa=5, p_dw=0.546, p_dl=0.546), {},
+                  "damped", _hex(
+        "0x1.fb6aeff48115cp-5", "0x1.fb6aeff48115cp-5",
+        "0x1.5d8f9dd3c1da6p-2", "0x1.5d8f9dd3c1da6p-2",
+        "0x1.4b02800000000p-38"), 9),
+    "comparison": (dict(n_wifi=1, n_laa=1, w0w=4, mw=1, w0l=4, ml=1, e_l=0,
+                        comparison=True), {}, "damped", _hex(
+        "0x1.5555555691332p-2", "0x1.5555555691332p-2",
+        "0x1.5555555691330p-2", "0x1.5555555691330p-2",
+        "0x1.6359800000000p-34"), 26),
+    "no_laa": (dict(n_wifi=3, n_laa=0), {}, "damped", _hex(
+        "0x1.7e8a0467de2fcp-4", "0x0.0p+0", "0x1.6cad02eb6856cp-3",
+        "0x0.0p+0", "0x1.18ae300000000p-34"), 20),
+    "no_wifi": (dict(n_wifi=0, n_laa=4, e_l=0), {}, "damped", _hex(
+        "0x0.0p+0", "0x1.5841b43715902p-4", "0x0.0p+0",
+        "0x1.da3343ed837acp-3", "0x1.327a800000000p-35"), 17),
+    "retry_0": (dict(n_wifi=3, n_laa=2, w0l=8, ml=3, e_l=0), {}, "damped",
+                _hex("0x1.d7d70725d6744p-5", "0x1.38c32db040612p-3",
+                     "0x1.731fc270c8b86p-2", "0x1.29d498bf4c7a8p-2",
+                     "0x1.a13d700000000p-34"), 32),
+    "retry_8": (dict(n_wifi=10, n_laa=10, w0w=8, mw=1, w0l=8, ml=1, e_l=8),
+                {}, "damped", _hex(
+        "0x1.2181580bc0f8ap-3", "0x1.0104669f0e4e2p-3",
+        "0x1.de05e4e48176ap-1", "0x1.dea3ad0ba5180p-1",
+        "0x1.c8bc100000000p-35"), 30),
+    "damping_1": (dict(n_wifi=6, n_laa=2, w0w=32, mw=5), dict(damping=1.0),
+                  "damped", _hex(
+        "0x1.2e36ad1ab92ebp-5", "0x1.3e672f86434f2p-4",
+        "0x1.2e3f9118ebd36p-2", "0x1.0e48d52726538p-2",
+        "0x1.55323c0000000p-34"), 47),
+}
+
+TAU_PROBABILITIES = (0.0, 0.25, 0.5 - 1e-10, 0.5, 0.5 + 1e-10, 1 - 1e-12)
+
+# wifi_tau(16, 6, p) and laa_tau(16, 6, e_l, p) over TAU_PROBABILITIES; the
+# middle three and the last hit the removable poles of the closed form.
+REFERENCE_TAUS = {
+    "wifi": _hex("0x1.e1e1e1e1e1e1ep-4", "0x1.49875f7a6c6ddp-4",
+                 "0x1.0b8ee0c44a662p-5", "0x1.0b8ee0c4bbe18p-5",
+                 "0x1.0b8ee0c52d5cfp-5", "0x1.56397ba7cd8bdp-8"),
+    0: _hex("0x1.e1e1e1e1e1e1ep-4", "0x1.4a2307700b843p-4",
+            "0x1.1d3b69611ff63p-5", "0x1.1d3b696203706p-5",
+            "0x1.1d3b6962e6eaap-5", "0x1.c1fa3980ba835p-8"),
+    1: _hex("0x1.e1e1e1e1e1e1ep-4", "0x1.49875f7a6c6ddp-4",
+            "0x1.0b8ee0c44a662p-5", "0x1.0b8ee0c4bbe18p-5",
+            "0x1.0b8ee0c52d5cfp-5", "0x1.56397ba7cd8bdp-8"),
+    2: _hex("0x1.e1e1e1e1e1e1ep-4", "0x1.49608cfb0f5e8p-4",
+            "0x1.039048415b075p-5", "0x1.0390484196debp-5",
+            "0x1.03904841d2b60p-5", "0x1.207e37383006ap-8"),
+    8: _hex("0x1.e1e1e1e1e1e1ep-4", "0x1.49539f0a10b18p-4",
+            "0x1.f859b428ad093p-6", "0x1.f859b428aff76p-6",
+            "0x1.f859b428b2e59p-6", "0x1.800999d716ab2p-9"),
+}
+
+
+class TestReferenceSolutions:
+    """Bit-exact solver and chain outputs, so that a rewrite of either
+    shows every changed bit rather than a drift inside a tolerance."""
+
+    @pytest.mark.parametrize("name", REFERENCE_SOLUTIONS)
+    def test_solution_bits(self, name):
+        scenario, config, method, values, iterations = \
+            REFERENCE_SOLUTIONS[name]
+        sol = solve_coexistence(make_scenario(**scenario),
+                                SolverConfig(**config))
+        assert (sol.tau_w, sol.tau_l, sol.p_w, sol.p_l,
+                sol.residual) == values
+        assert sol.iterations == iterations
+        assert sol.method == method
+
+    def test_convergence_error_bits(self):
+        cfg = SolverConfig(tolerance=1e-300, max_iterations=500)
+        with pytest.raises(ConvergenceError) as excinfo:
+            solve_coexistence(make_scenario(2, 2), cfg)
+        err = excinfo.value
+        assert (err.tau_w, err.tau_l, err.residual) == _hex(
+            "0x1.57fc957e2f7fap-4", "0x1.57fc957e2f7fap-4",
+            "0x1.0000000000000p-54")
+        assert err.iterations == 254
+
+    @pytest.mark.parametrize("chain", REFERENCE_TAUS)
+    def test_tau_bits(self, chain):
+        taus = tuple(wifi_tau(16, 6, p) if chain == "wifi"
+                     else laa_tau(16, 6, chain, p) for p in TAU_PROBABILITIES)
+        assert taus == REFERENCE_TAUS[chain]
+
