@@ -13,8 +13,7 @@ from .core import (LaaParams, Scenario, Solution, ThroughputReport,
                    load_scenario, save_scenario, scenario_from_dict,
                    scenario_from_yaml, scenario_to_dict, scenario_to_yaml)
 from .ed import EdConfig, dbm_to_mw, detection_probability
-from .markov import (StationaryDistribution, laa_stationary, laa_tau,
-                     wifi_stationary, wifi_tau)
+from .markov import laa_tau, wifi_tau
 from .solver import (ConvergenceError, SolverConfig, solve_coexistence,
                      solve_wifi_only)
 from .throughput import (EventDurations, EventProbabilities,
@@ -28,19 +27,18 @@ __all__ = [
     "load_priority_class", "derived_durations",
     "scenario_to_dict", "scenario_from_dict", "scenario_to_yaml",
     "scenario_from_yaml", "load_scenario", "save_scenario",
-    "StationaryDistribution", "wifi_tau", "laa_tau",
-    "wifi_stationary", "laa_stationary",
+    "wifi_tau", "laa_tau",
     "SolverConfig", "ConvergenceError", "solve_coexistence", "solve_wifi_only",
     "EventProbabilities", "EventDurations", "event_probabilities",
     "event_durations", "expected_event_time", "coexistence_throughput",
     "wifi_only_throughput",
     "EdConfig", "dbm_to_mw", "detection_probability",
-    "SimConfig", "SimReport", "simulate", "simulate_with_detection",
+    "SimConfig", "SimReport", "simulate",
 ]
 
 # The simulator needs numpy, which the analytic path never uses: its names
 # are resolved on first access (PEP 562), so `import laacoex` stays light.
-_SIMULATOR = ("SimConfig", "SimReport", "simulate", "simulate_with_detection")
+_SIMULATOR = ("SimConfig", "SimReport", "simulate")
 
 
 def __getattr__(name):

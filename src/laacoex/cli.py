@@ -19,10 +19,9 @@ import yaml
 from . import __version__
 from .core import (Scenario, _YamlLoader, scenario_from_dict,
                    scenario_to_dict)
-from .solver import (ConvergenceError, SolverConfig, solve_coexistence,
-                     solve_wifi_only)
-from .throughput import (_wifi_only_report, coexistence_throughput,
-                         event_durations, wifi_only_throughput)
+from .solver import ConvergenceError, SolverConfig, solve_coexistence
+from .throughput import (coexistence_throughput, event_durations,
+                         wifi_only_throughput)
 
 OUT_DIR_ENV = "LAACOEX_OUT_DIR"
 
@@ -143,17 +142,10 @@ def _report_cells(rep) -> dict:
 
 
 def analytic_row(s: Scenario, cfg: SolverConfig) -> dict:
-    """Solve one scenario analytically and flatten the results to CSV cells.
-
-    Pure Wi-Fi scenarios route through the single-technology baseline.
-    """
+    """Solve one scenario analytically and flatten the results to CSV cells."""
     eff = s.effective()
-    if eff.n_laa == 0:
-        sol = solve_wifi_only(eff.n_wifi, eff.wifi.w0, eff.wifi.m, cfg)
-        rep = _wifi_only_report(eff.n_wifi, eff.wifi, sol)
-    else:
-        sol = solve_coexistence(eff, cfg)
-        rep = coexistence_throughput(eff, sol)
+    sol = solve_coexistence(eff, cfg)
+    rep = coexistence_throughput(eff, sol)
     row = {"engine": "analytic"}
     row.update(_scenario_cells(eff))
     row.update(tau_w=sol.tau_w, tau_l=sol.tau_l, p_w=sol.p_w, p_l=sol.p_l,
@@ -166,20 +158,14 @@ def simulate_row(s: Scenario, seed: int, horizon: int, warmup: int,
                  trace_path=None) -> dict:
     """Run the slot-level simulator and flatten measurements to CSV cells."""
     # Imported here, not at module level: only the simulator needs numpy.
-    from .mcsim import SimConfig, simulate_with_detection
+    from .mcsim import SimConfig, simulate
     eff = s.effective()
-    sim = simulate_with_detection(SimConfig(
+    sim = simulate(SimConfig(
         scenario=eff, horizon_events=horizon, seed=seed,
         warmup_events=warmup, trace_path=trace_path))
     counts = sim.event_counts
     events = sum(counts.values())
-    durations = event_durations(eff.wifi, eff.laa)
-    total_time = (counts["idle"] * eff.wifi.slot_us
-                  + counts["wifi-success"] * durations.t_sw
-                  + counts["wifi-collision"] * durations.t_cw
-                  + counts["laa-success"] * durations.t_sl
-                  + counts["laa-collision"] * durations.t_cl
-                  + counts["cross-collision"] * durations.t_cc)
+    durations = event_durations(eff)
     wifi_any = (counts["wifi-success"] + counts["wifi-collision"]
                 + counts["cross-collision"])
     laa_any = (counts["laa-success"] + counts["laa-collision"]
@@ -192,7 +178,7 @@ def simulate_row(s: Scenario, seed: int, horizon: int, warmup: int,
         p_trw=wifi_any / events, p_trl=laa_any / events,
         t_sw_us=durations.t_sw, t_cw_us=durations.t_cw,
         t_sl_us=durations.t_sl, t_cl_us=durations.t_cl,
-        t_cc_us=durations.t_cc, t_e_us=total_time / events,
+        t_cc_us=durations.t_cc, t_e_us=sim.t_e_us,
         tput_wifi_mbps=sim.tput_wifi_mbps, tput_laa_mbps=sim.tput_laa_mbps,
         tput_total_mbps=sim.tput_wifi_mbps + sim.tput_laa_mbps,
         per_user_wifi_mbps=(sim.tput_wifi_mbps / eff.n_wifi
@@ -232,25 +218,18 @@ def run_sweep(spec: SweepSpec, cfg: SolverConfig) -> tuple[list[dict], bool]:
     rows = []
     any_failed = False
     wifi_only = {}  # (n, WifiParams) -> report: one solve per baseline
-
-    def wifi_only_report(n, wifi):
-        if (n, wifi) not in wifi_only:
-            wifi_only[n, wifi] = wifi_only_throughput(n, wifi, cfg)
-        return wifi_only[n, wifi]
-
     for value in spec.values:
         point = _scenario_for_point(spec, value)
         row = {"axis": spec.axis, "axis_value": value, "status": "ok"}
         row.update(_scenario_cells(point))
         try:
             # the baseline: the point's whole population, all Wi-Fi
-            baseline = wifi_only_report(point.n_wifi + point.n_laa,
-                                        point.wifi)
+            key = (point.n_wifi + point.n_laa, point.wifi)
+            if key not in wifi_only:
+                wifi_only[key] = wifi_only_throughput(*key, cfg)
+            baseline = wifi_only[key]
             eff = point.effective()
-            if eff.n_laa == 0:
-                coex = wifi_only_report(eff.n_wifi, eff.wifi)
-            else:
-                coex = coexistence_throughput(eff, solve_coexistence(eff, cfg))
+            coex = coexistence_throughput(eff, solve_coexistence(eff, cfg))
             row.update(
                 wifi_only_total_mbps=baseline.tput_wifi_mbps,
                 wifi_only_per_user_mbps=baseline.per_user_wifi_mbps,

@@ -70,7 +70,7 @@ class LaaParams:
     w0: int = 16                     # minimum contention window (slots)
     m: int = 2                       # maximum backoff stage
     retry_limit: int = 1             # extra stays at the max window before the stage resets
-    defer_us: float = 43.0           # initial/extended CCA defer period
+    defer_us: float = 43.0           # CCA defer period: echoed, not modelled
     txop_us: float = 8000.0          # transmission opportunity once contention is won
     next_tx_delay_us: float = 500.0  # slot-boundary alignment + reservation overhead
     data_rate_mbps: float = 7.8

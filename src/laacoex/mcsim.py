@@ -76,6 +76,7 @@ class SimReport:
     measured_tau_l: float
     measured_p_w: float
     measured_p_l: float
+    t_e_us: float     # mean event time: total simulated time / counted events
     event_counts: dict[str, int]
     stderr: dict[str, float]
 
@@ -85,35 +86,20 @@ EVENT_CLASSES = ("idle", "wifi-success", "laa-success",
 
 
 def simulate(cfg: SimConfig) -> SimReport:
-    """Run the protocol with perfect cross-network sensing.
-
-    Detection probabilities in the scenario are ignored; any overlap between
-    transmissions is a collision for every participant.
-    """
-    return _run(cfg, honor_detection=False)
-
-
-def simulate_with_detection(cfg: SimConfig) -> SimReport:
-    """Run the protocol with imperfect cross-network energy detection.
+    """Run the protocol with the scenario's cross-network energy detection.
 
     When exactly one station of a network overlaps only with the other
-    network's transmissions, its own backoff chain registers a collision
-    with the scenario's detection probability and a success otherwise,
-    mirroring how the analytical collision probabilities weight the
-    cross-network term. Event class, duration and delivered payload are
-    unaffected (a cross event carries no payload either way), so analytic
-    and simulated throughput stay comparable. With both detection
-    probabilities at 1 the run is bit-identical to :func:`simulate`.
+    network's transmissions, its backoff chain registers a collision with
+    its network's detection probability and a success otherwise, as the
+    analytic collision probabilities weight the cross-network term. Event
+    class, duration and payload (none for a cross event) do not change. A
+    detection probability of 1 draws no coin.
     """
-    return _run(cfg, honor_detection=True)
-
-
-def _run(cfg: SimConfig, honor_detection: bool) -> SimReport:
     s = cfg.scenario.effective()
     n_w, n_l = s.n_wifi, s.n_laa
-    p_d = (s.p_dw, s.p_dl) if honor_detection else (1.0, 1.0)
+    p_d = (s.p_dw, s.p_dl)
 
-    d = event_durations(s.wifi, s.laa)
+    d = event_durations(s)
     t_sw, t_sl = d.t_sw, d.t_sl
     success = (("wifi-success", t_sw), ("laa-success", t_sl))
     # Collision kinds, indexed as n_coll below: Wi-Fi, LAA, cross.
@@ -268,7 +254,7 @@ def _detects(draw, p_d: float) -> bool:
 
 def _report(n_w, n_l, counts, b_events, b_time, b_bits_w, b_bits_l,
             b_att_w, b_att_l, b_col_w, b_col_l) -> SimReport:
-    total_time = math.fsum(b_time)
+    total_time = _fsum(b_time)
     events = sum(b_events)
     att_w, att_l = sum(b_att_w), sum(b_att_l)
     col_w, col_l = sum(b_col_w), sum(b_col_l)
@@ -284,22 +270,37 @@ def _report(n_w, n_l, counts, b_events, b_time, b_bits_w, b_bits_l,
         "p_w": per_batch(b_col_w, b_att_w),
         "p_l": per_batch(b_col_l, b_att_l),
     }
-    stderr = {}
-    for name, values in batch_metrics.items():
-        if len(values) > 1:
-            stderr[name] = float(np.std(values, ddof=1) / math.sqrt(len(values)))
-        else:
-            stderr[name] = 0.0
+    # an overflowing spread is reported as a non-finite value below, not
+    # as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        stderr = {name: float(np.std(values, ddof=1) / math.sqrt(len(values)))
+                  if len(values) > 1 else 0.0
+                  for name, values in batch_metrics.items()}
 
-    return SimReport(
-        tput_wifi_mbps=math.fsum(b_bits_w) / total_time,
-        tput_laa_mbps=math.fsum(b_bits_l) / total_time,
+    report = SimReport(
+        tput_wifi_mbps=_fsum(b_bits_w) / total_time,
+        tput_laa_mbps=_fsum(b_bits_l) / total_time,
         measured_tau_w=att_w / (n_w * events) if n_w else 0.0,
         measured_tau_l=att_l / (n_l * events) if n_l else 0.0,
         measured_p_w=col_w / att_w if att_w else 0.0,
         measured_p_l=col_l / att_l if att_l else 0.0,
+        t_e_us=total_time / events,
         event_counts=counts,
         stderr=stderr)
+    for name, value in chain(vars(report).items(), (
+            (f"stderr_{key}", err) for key, err in stderr.items())):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise OverflowError(f"simulated {name} is {value}: a time, rate "
+                                "or size is out of floating-point range")
+    return report
+
+
+def _fsum(values) -> float:
+    """``math.fsum`` of non-negative values, inf where the sum overflows."""
+    try:
+        return math.fsum(values)
+    except OverflowError:   # the exact sum lies beyond the largest float
+        return math.inf
 
 
 class _TraceWriter:

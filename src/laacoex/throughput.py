@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import (LaaParams, Scenario, Solution, ThroughputReport,
-                   WifiParams, derived_durations)
+from .core import (Scenario, Solution, ThroughputReport, WifiParams,
+                   derived_durations)
 from .solver import SolverConfig, solve_wifi_only
 
 
@@ -59,24 +59,29 @@ def event_probabilities(sol: Solution, n_wifi: int,
     return EventProbabilities(p_trw=p_trw, p_sw=p_sw, p_trl=p_trl, p_sl=p_sl)
 
 
-def event_durations(wifi: WifiParams, laa: LaaParams) -> EventDurations:
-    """Durations of the five non-idle event classes.
+def event_durations(s: Scenario) -> EventDurations:
+    """Durations of the five non-idle event classes of an effective scenario.
 
     A Wi-Fi success spans headers, payload, SIFS, ACK, DIFS and two
     propagation delays; a collision saves the SIFS/ACK leg. An LAA grab
     occupies the TXOP plus the turnaround to the next transmission whether
-    it succeeds or collides. Cross-technology collisions last as long as the
-    longer loser.
+    it succeeds or collides. A network with no stations has no events, so
+    its durations are 0. Cross-technology collisions last as long as the
+    longer loser, which without one network is the other's collision.
     """
-    psize, mach, ack = derived_durations(wifi)
-    t_sw = (mach + wifi.phy_header_us + psize + wifi.sifs_us
-            + wifi.prop_delay_us + ack + wifi.difs_us + wifi.prop_delay_us)
-    if not math.isfinite(t_sw):  # finite inputs too large for their sum
-        raise OverflowError(f"t_sw_us is {t_sw}: a Wi-Fi time or rate is out "
-                            "of floating-point range")
-    t_cw = mach + wifi.phy_header_us + psize + wifi.difs_us + wifi.prop_delay_us
-    t_sl = laa.txop_us + laa.next_tx_delay_us
-    t_cl = t_sl
+    t_sw = t_cw = t_sl = t_cl = 0.0
+    if s.n_wifi:
+        wifi = s.wifi
+        psize, mach, ack = derived_durations(wifi)
+        t_sw = (mach + wifi.phy_header_us + psize + wifi.sifs_us
+                + wifi.prop_delay_us + ack + wifi.difs_us + wifi.prop_delay_us)
+        if not math.isfinite(t_sw):  # finite inputs too large for their sum
+            raise OverflowError(f"t_sw_us is {t_sw}: a Wi-Fi time or rate is "
+                                "out of floating-point range")
+        t_cw = (mach + wifi.phy_header_us + psize + wifi.difs_us
+                + wifi.prop_delay_us)
+    if s.n_laa:
+        t_sl = t_cl = s.laa.txop_us + s.laa.next_tx_delay_us
     return EventDurations(t_sw=t_sw, t_cw=t_cw, t_sl=t_sl, t_cl=t_cl,
                           t_cc=max(t_cw, t_cl))
 
@@ -112,7 +117,7 @@ def coexistence_throughput(s: Scenario, sol: Solution) -> ThroughputReport:
     """
     s = s.effective()
     ep = event_probabilities(sol, s.n_wifi, s.n_laa)
-    ed = event_durations(s.wifi, s.laa)
+    ed = event_durations(s)
     t_e = expected_event_time(ep, ed, s.wifi.slot_us)
     psize, _, _ = derived_durations(s.wifi)
 
@@ -132,32 +137,7 @@ def coexistence_throughput(s: Scenario, sol: Solution) -> ThroughputReport:
 
 def wifi_only_throughput(n: int, wifi: WifiParams,
                          cfg: SolverConfig = SolverConfig()) -> ThroughputReport:
-    """Classic single-technology saturation throughput for n Wi-Fi stations.
-
-    The expected event time reduces to the three-class form (idle, success,
-    collision); all LAA fields of the report are zeroed.
-    """
-    return _wifi_only_report(n, wifi, solve_wifi_only(n, wifi.w0, wifi.m, cfg))
-
-
-_ANY_LAA = LaaParams()
-
-
-def _wifi_only_report(n: int, wifi: WifiParams,
-                      sol: Solution) -> ThroughputReport:
-    """wifi_only_throughput's report at an already solved fixed point."""
-    p_tr = 1.0 - (1.0 - sol.tau_w) ** n
-    p_s = (min(1.0, n * sol.tau_w * (1.0 - sol.tau_w) ** (n - 1) / p_tr)
-           if p_tr else 0.0)
-    psize, _, _ = derived_durations(wifi)
-    ed = event_durations(wifi, _ANY_LAA)  # only its Wi-Fi durations are used
-    t_sw, t_cw = ed.t_sw, ed.t_cw
-    t_e = ((1.0 - p_tr) * wifi.slot_us + p_tr * p_s * t_sw
-           + p_tr * (1.0 - p_s) * t_cw)
-    tput = p_tr * p_s * psize * wifi.data_rate_mbps / t_e
-    return ThroughputReport(
-        p_trw=p_tr, p_sw=p_s, p_trl=0.0, p_sl=0.0,
-        t_sw_us=t_sw, t_cw_us=t_cw, t_sl_us=0.0, t_cl_us=0.0,
-        t_cc_us=t_cw, t_e_us=t_e,
-        tput_wifi_mbps=tput, tput_laa_mbps=0.0,
-        per_user_wifi_mbps=tput / n, per_user_laa_mbps=0.0)
+    """Classic single-technology saturation throughput for n Wi-Fi stations:
+    the coexistence throughput with no LAA nodes, all LAA fields zero."""
+    return coexistence_throughput(Scenario(n_wifi=n, n_laa=0, wifi=wifi),
+                                  solve_wifi_only(n, wifi.w0, wifi.m, cfg))

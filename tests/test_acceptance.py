@@ -11,13 +11,13 @@ import pytest
 from laacoex import cli
 from laacoex.core import LaaParams, Scenario, WifiParams
 from laacoex.ed import EdConfig, detection_probability
-from laacoex.markov import (laa_stationary, laa_tau, wifi_stationary,
-                            wifi_tau)
+from laacoex.markov import laa_tau, wifi_tau
 from laacoex.mcsim import SimConfig, simulate
 from laacoex.solver import SolverConfig, solve_coexistence, solve_wifi_only
 from laacoex.throughput import (EventDurations, EventProbabilities,
                                 coexistence_throughput,
                                 expected_event_time, wifi_only_throughput)
+from markov_oracle import laa_stationary, wifi_stationary
 
 RATES = [(9.0, 7.8), (18.0, 15.6), (54.0, 70.2)]
 

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import laacoex
 from laacoex import cli, solver, throughput
-from laacoex.core import LaaParams, WifiParams
+from laacoex.core import LaaParams, Scenario, WifiParams
 
 SRC_DIR = Path(laacoex.__file__).resolve().parent.parent
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "bench" / "golden"
@@ -167,6 +168,53 @@ class TestRunCommand:
         assert out == ""
         assert "t_sw_us" in err
 
+    @pytest.mark.parametrize("horizon, field", [
+        ("60000", "stderr_tput_laa_mbps"), ("400000", "tput_laa_mbps")])
+    def test_simulated_overflow_exits_3(self, tmp_path, capsys, horizon,
+                                        field):
+        # finite inputs whose batch spread (60k events) or summed payload
+        # (400k events) overflows: exit 3 naming the cell, with no warning
+        bad = tmp_path / "huge.yaml"
+        bad.write_text(
+            "n_wifi: 0\nn_laa: 1\n"
+            "laa: {data_rate_mbps: 1.0e+300, next_tx_delay_us: 1.0e-300, "
+            "txop_us: 10000}\nwifi: {slot_us: 1.0e-300}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "run", str(bad), "--engine",
+                                     "simulate", "--horizon", horizon,
+                                     "--warmup", "0")
+        assert code == 3
+        assert out == ""
+        assert re.search(rf"\b{field}\b", err)
+
+    def test_pure_wifi_comparison_mode_runs_comparison_chain(self, tmp_path,
+                                                             capsys):
+        # a Wi-Fi-only network is coexistence with n_laa = 0, comparison
+        # mode included: its chain resets right after stage m
+        body = "n_wifi: 2\nn_laa: 0\nwifi: {w0: 4, m: 1}\n"
+        taus = {}
+        for mode in (True, False):
+            path = tmp_path / f"mode_{mode}.yaml"
+            path.write_text(body + f"comparison_mode: {str(mode).lower()}\n")
+            code, out, err = run_cli(capsys, "run", str(path))
+            assert code == 0, err
+            taus[mode] = parse_csv(out)[2][0]["tau_w"]
+        s = Scenario(n_wifi=2, n_laa=0, wifi=WifiParams(w0=4, m=1),
+                     comparison_mode=True)
+        assert taus[True] == repr(solver.solve_coexistence(s.effective()).tau_w)
+        assert taus[True] != taus[False]
+
+    def test_pure_wifi_rows_share_event_durations(self, capsys):
+        code, out, err = run_cli(capsys, "run", "table4_case1", "--engine",
+                                 "both", "--horizon", "5000",
+                                 "--warmup", "500")
+        assert code == 0, err
+        analytic, simulated = parse_csv(out)[2]
+        for column in ("t_sw_us", "t_cw_us", "t_sl_us", "t_cl_us", "t_cc_us"):
+            assert analytic[column] == simulated[column], column
+        assert simulated["t_sl_us"] == "0.0"
+
     def test_exponent_floats_are_floats(self, tmp_path, capsys):
         # YAML 1.2 reads 8e3 and 5e-1 as floats (YAML 1.1: strings)
         scenario = tmp_path / "exp.yaml"
@@ -227,6 +275,33 @@ class TestSweepCommand:
         for row in rows:
             assert (float(row["coex_total_mbps"])
                     > float(row["wifi_only_total_mbps"]))
+
+    def test_comparison_split_at_full_wifi_matches_run(self, tmp_path,
+                                                        capsys):
+        # the coexistence cells of an all-Wi-Fi point come from the same
+        # comparison chain as `run`; the baseline stays classic DCF
+        base = ("  n_wifi: 1\n  n_laa: 1\n  wifi: {w0: 4, m: 1}\n"
+                "  comparison_mode: true\n")
+        spec = tmp_path / "split.yaml"
+        spec.write_text("axis: node_split\nrange: [2]\nbase:\n" + base)
+        scenario = tmp_path / "point.yaml"
+        scenario.write_text(base.replace("n_wifi: 1", "n_wifi: 2")
+                            .replace("n_laa: 1", "n_laa: 0"))
+        code, out, err = run_cli(capsys, "sweep", str(spec))
+        assert code == 0, err
+        point = parse_csv(out)[2][0]
+        code, out, err = run_cli(capsys, "run", str(scenario))
+        assert code == 0, err
+        run = parse_csv(out)[2][0]
+        assert [point[c] for c in (
+            "coex_tput_wifi_mbps", "coex_tput_laa_mbps", "coex_total_mbps",
+            "coex_per_user_wifi_mbps", "coex_per_user_laa_mbps")] == [
+            run[c] for c in ("tput_wifi_mbps", "tput_laa_mbps",
+                             "tput_total_mbps", "per_user_wifi_mbps",
+                             "per_user_laa_mbps")]
+        classic = throughput.wifi_only_throughput(2, WifiParams(w0=4, m=1))
+        assert point["wifi_only_total_mbps"] == repr(classic.tput_wifi_mbps)
+        assert point["coex_total_mbps"] != point["wifi_only_total_mbps"]
 
     def test_detection_sweep_direction(self, tmp_path, capsys):
         spec = tmp_path / "detection.yaml"

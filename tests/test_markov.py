@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from laacoex.markov import (chain_tau, laa_stationary, laa_tau,
-                            wifi_stationary, wifi_tau)
+from laacoex.markov import chain_tau, laa_tau, wifi_tau
+from markov_oracle import laa_stationary, wifi_stationary
 
 PROB_GRID = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 W0_GRID = [2, 4, 8, 16, 32, 64]

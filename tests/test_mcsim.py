@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from laacoex.core import LaaParams, Scenario, WifiParams, load_priority_class
-from laacoex.mcsim import (EVENT_CLASSES, SimConfig, _add_repeated, simulate,
-                           simulate_with_detection)
+from laacoex.mcsim import EVENT_CLASSES, SimConfig, _add_repeated, simulate
 from laacoex.solver import solve_coexistence
 from laacoex.throughput import event_durations, event_probabilities
 
@@ -35,11 +34,6 @@ class TestDeterminism:
         a = SimConfig(scenario=case3_scenario(), horizon_events=50_000, seed=1)
         b = SimConfig(scenario=case3_scenario(), horizon_events=50_000, seed=2)
         assert simulate(a) != simulate(b)
-
-    def test_perfect_detection_reduces_to_plain_run(self):
-        cfg = SimConfig(scenario=case3_scenario(), horizon_events=50_000,
-                        seed=77)
-        assert simulate_with_detection(cfg) == simulate(cfg)
 
 
 def class1_scenario(n_wifi, n_laa, r_w=9.0, r_l=7.8):
@@ -69,14 +63,14 @@ class TestReferenceStream:
         "class1-4+2": (simulate, SimConfig(
             scenario=class1_scenario(4, 2), horizon_events=30_000, seed=11,
             warmup_events=3_000)),
-        "class4-20+20-detection": (simulate_with_detection, SimConfig(
+        "class4-20+20-detection": (simulate, SimConfig(
             scenario=Scenario(n_wifi=20, n_laa=20,
                               wifi=WifiParams(data_rate_mbps=9.0),
                               laa=load_priority_class(4),
                               p_dw=0.546, p_dl=0.546),
             horizon_events=30_000, seed=12, warmup_events=3_000)),
         # windows 15, 30, ... and 12, 24, 48 reject draws above the window
-        "mask-and-reject": (simulate_with_detection, SimConfig(
+        "mask-and-reject": (simulate, SimConfig(
             scenario=Scenario(n_wifi=2, n_laa=2, wifi=WifiParams(w0=15, m=3),
                               laa=LaaParams(w0=12, m=2), p_dw=0.3,
                               p_dl=0.77),
@@ -99,7 +93,7 @@ class TestReferenceStream:
             scenario=class1_scenario(1, 1), horizon_events=150, seed=18,
             warmup_events=90)),
         # idle runs of hundreds of slots, straddling batches and binades
-        "long-idle-runs": (simulate_with_detection, SimConfig(
+        "long-idle-runs": (simulate, SimConfig(
             scenario=Scenario(n_wifi=1, n_laa=1,
                               wifi=WifiParams(w0=64, m=6, data_rate_mbps=54.0),
                               laa=load_priority_class(4), p_dw=0.5),
@@ -283,7 +277,7 @@ class TestDetection:
                      laa=LaaParams(w0=4, m=1, txop_us=2000.0,
                                    data_rate_mbps=7.8),
                      p_dw=0.0)
-        report = simulate_with_detection(SimConfig(
+        report = simulate(SimConfig(
             scenario=s, horizon_events=60_000, seed=21))
         assert report.measured_p_w == 0.0
         # overlaps still happen and still cost airtime
@@ -296,7 +290,7 @@ class TestDetection:
                          laa=LaaParams(w0=8, m=1, txop_us=3000.0,
                                        data_rate_mbps=8.4),
                          p_dw=p_dw)
-            return simulate_with_detection(SimConfig(
+            return simulate(SimConfig(
                 scenario=s, horizon_events=80_000, seed=3)).measured_p_w
 
         blind, half, sharp = p_w_at(0.0), p_w_at(0.5), p_w_at(1.0)
@@ -311,7 +305,7 @@ class TestDetection:
                          laa=LaaParams(w0=16, m=6, txop_us=8000.0,
                                        data_rate_mbps=8.4),
                          p_dl=p_dl)
-            return simulate_with_detection(SimConfig(
+            return simulate(SimConfig(
                 scenario=s, horizon_events=200_000, seed=8)).tput_wifi_mbps
 
         curve = [wifi_tput(p) for p in (0.0, 0.5, 1.0)]
@@ -347,7 +341,7 @@ class TestExactTwoNodeChain:
             width = windows[stage]
             return [(index[(stage, k)], 1.0 / width) for k in range(width)]
 
-        dur = event_durations(s.wifi, s.laa)
+        dur = event_durations(s)
         wifi_bits = 8.0 * s.wifi.payload_bytes
         laa_bits = s.laa.pdcch_fraction * s.laa.txop_us * s.laa.data_rate_mbps
 

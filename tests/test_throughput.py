@@ -41,26 +41,28 @@ class TestEventProbabilities:
 class TestEventDurations:
     def test_reference_timing(self):
         # 1820.44 + 20 + 30.22 + 16 + 18.67 + 34 + 0.2 at 9 Mbps, 2048 B
-        ed = event_durations(WifiParams(), LaaParams())
+        ed = event_durations(Scenario(n_wifi=1, n_laa=1))
         assert ed.t_sw == pytest.approx(1939.53, abs=0.01)
         assert ed.t_cw == pytest.approx(1904.77, abs=0.01)
 
     def test_success_exceeds_collision_by_ack_leg(self):
         w = WifiParams()
-        ed = event_durations(w, LaaParams())
+        ed = event_durations(Scenario(n_wifi=1, n_laa=1, wifi=w))
         ack = 8 * w.ack_bytes / w.control_rate_mbps
         assert ed.t_sw - ed.t_cw == pytest.approx(
             w.sifs_us + ack + w.prop_delay_us, abs=1e-9)
 
     def test_laa_occupancy_includes_turnaround(self):
-        ed = event_durations(WifiParams(),
-                             LaaParams(txop_us=2000.0, next_tx_delay_us=500.0))
+        ed = event_durations(Scenario(
+            n_wifi=1, n_laa=1,
+            laa=LaaParams(txop_us=2000.0, next_tx_delay_us=500.0)))
         assert ed.t_sl == 2500.0
         assert ed.t_cl == ed.t_sl
 
     def test_cross_collision_takes_longer_loser(self):
-        ed = event_durations(WifiParams(),
-                             LaaParams(txop_us=2000.0, next_tx_delay_us=500.0))
+        ed = event_durations(Scenario(
+            n_wifi=1, n_laa=1,
+            laa=LaaParams(txop_us=2000.0, next_tx_delay_us=500.0)))
         assert ed.t_cc == max(ed.t_cw, ed.t_cl) == 2500.0
 
 
