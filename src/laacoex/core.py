@@ -7,7 +7,7 @@ across parallel workers.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import yaml
 
@@ -139,8 +139,8 @@ class Scenario:
 
     n_wifi: int
     n_laa: int
-    wifi: WifiParams = field(default_factory=WifiParams)
-    laa: LaaParams = field(default_factory=LaaParams)
+    wifi: WifiParams = WifiParams()   # frozen, so one default is shared
+    laa: LaaParams = LaaParams()
     p_dw: float = 1.0
     p_dl: float = 1.0
     comparison_mode: bool = False

@@ -119,7 +119,9 @@ def coexistence_throughput(s: Scenario, sol: Solution) -> ThroughputReport:
     ep = event_probabilities(sol, s.n_wifi, s.n_laa)
     ed = event_durations(s)
     t_e = expected_event_time(ep, ed, s.wifi.slot_us)
-    psize, _, _ = derived_durations(s.wifi)
+    # no payload without Wi-Fi stations: a tiny unused rate would make it
+    # inf, and p_trw = 0 times inf a NaN (LAA's factors are all finite)
+    psize = derived_durations(s.wifi)[0] if s.n_wifi else 0.0
 
     tput_w = (ep.p_trw * ep.p_sw * (1.0 - ep.p_trl)
               * psize * s.wifi.data_rate_mbps / t_e)

@@ -215,6 +215,27 @@ class TestRunCommand:
             assert analytic[column] == simulated[column], column
         assert simulated["t_sl_us"] == "0.0"
 
+    @pytest.mark.parametrize("engine", ["analytic", "both"])
+    def test_absent_network_parameters_are_unused(self, tmp_path, capsys,
+                                                   engine):
+        # without Wi-Fi stations a payload airtime of 16384 / 1e-306 = inf
+        # is never formed: exit 0 with every number finite
+        only_laa = tmp_path / "only_laa.yaml"
+        only_laa.write_text("n_wifi: 0\nn_laa: 1\n"
+                            "wifi: {data_rate_mbps: 1.0e-306}\n")
+        code, out, err = run_cli(capsys, "run", str(only_laa), "--engine",
+                                 engine, "--horizon", "5000",
+                                 "--warmup", "500")
+        assert code == 0, err
+        for row in parse_csv(out)[2]:
+            for column, cell in row.items():
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue
+                assert math.isfinite(value), (column, cell)
+            assert row["tput_wifi_mbps"] == "0.0"
+
     def test_exponent_floats_are_floats(self, tmp_path, capsys):
         # YAML 1.2 reads 8e3 and 5e-1 as floats (YAML 1.1: strings)
         scenario = tmp_path / "exp.yaml"
