@@ -10,8 +10,8 @@ __version__ = "0.1.0"
 
 from .core import (LaaParams, Scenario, Solution, ThroughputReport,
                    WifiParams, derived_durations, load_priority_class,
-                   load_scenario, save_scenario, scenario_from_dict,
-                   scenario_from_yaml, scenario_to_dict, scenario_to_yaml)
+                   scenario_from_dict, scenario_from_yaml, scenario_to_dict,
+                   scenario_to_yaml)
 from .ed import EdConfig, dbm_to_mw, detection_probability
 from .markov import laa_tau, wifi_tau
 from .solver import (ConvergenceError, SolverConfig, solve_coexistence,
@@ -26,7 +26,7 @@ __all__ = [
     "WifiParams", "LaaParams", "Scenario", "Solution", "ThroughputReport",
     "load_priority_class", "derived_durations",
     "scenario_to_dict", "scenario_from_dict", "scenario_to_yaml",
-    "scenario_from_yaml", "load_scenario", "save_scenario",
+    "scenario_from_yaml",
     "wifi_tau", "laa_tau",
     "SolverConfig", "ConvergenceError", "solve_coexistence", "solve_wifi_only",
     "EventProbabilities", "EventDurations", "event_probabilities",

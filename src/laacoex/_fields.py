@@ -1,4 +1,5 @@
-"""Type rules for the scalar fields of the parameter dataclasses."""
+"""Type rules for the scalar fields of the parameter dataclasses, and the
+key rule of the mappings they are read from."""
 from __future__ import annotations
 
 import sys
@@ -33,3 +34,16 @@ def check_field_types(obj) -> None:
     """check_value on every int, float and bool field of a dataclass."""
     for name, kind in _typed_fields(type(obj)):
         check_value(name, kind, getattr(obj, name))
+
+
+def check_keys(mapping, where: str, allowed, required=()) -> None:
+    """Raise ValueError unless ``mapping`` is a dict whose keys all lie in
+    ``allowed`` and include each of ``required``, named in that order."""
+    if not isinstance(mapping, dict):
+        raise ValueError(f"{where} must be a mapping")
+    unknown = set(mapping).difference(allowed)
+    if unknown:
+        raise ValueError(f"unknown field {sorted(unknown)[0]!r} in {where}")
+    for key in required:
+        if key not in mapping:
+            raise ValueError(f"missing field {key!r} in {where}")

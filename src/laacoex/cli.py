@@ -17,6 +17,7 @@ from importlib import resources
 import yaml
 
 from . import __version__
+from ._fields import check_keys, check_value
 from .core import (Scenario, _YamlLoader, scenario_from_dict,
                    scenario_to_dict)
 from .solver import ConvergenceError, SolverConfig, solve_coexistence
@@ -31,71 +32,48 @@ SWEEP_AXES = ("total_nodes", "node_split", "retry_limit",
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One sweep: the axis to vary, its values, and the base scenario."""
+    """One sweep: the axis to vary and, per value, the scenario it makes."""
 
     axis: str
-    values: tuple
-    base: Scenario
-
-    def __post_init__(self) -> None:
-        if self.axis not in SWEEP_AXES:
-            raise ValueError(
-                f"unknown sweep axis {self.axis!r}; expected one of {SWEEP_AXES}")
-        if not self.values:
-            raise ValueError("sweep range must be non-empty")
-        for v in self.values:
-            _check_axis_value(self.axis, v, self.base)
-
-
-def _check_axis_value(axis: str, value, base: Scenario) -> None:
-    total = base.n_wifi + base.n_laa
-    if isinstance(value, bool):
-        raise ValueError(f"{axis} values must be numbers, got {value!r}")
-    if axis == "total_nodes":
-        if not (isinstance(value, int) and value >= 2 and value % 2 == 0):
-            raise ValueError(
-                f"total_nodes values must be even integers >= 2, got {value!r}")
-    elif axis == "node_split":
-        if not (isinstance(value, int) and 0 <= value <= total):
-            raise ValueError(
-                f"node_split values must be integers in [0, {total}], got {value!r}")
-    elif axis == "retry_limit":
-        if not (isinstance(value, int) and 0 <= value <= 8):
-            raise ValueError(
-                f"retry_limit values must be integers in [0, 8], got {value!r}")
-    else:
-        if not (isinstance(value, (int, float)) and 0 <= value <= 1):
-            raise ValueError(
-                f"{axis} values must be probabilities in [0, 1], got {value!r}")
+    points: tuple   # (axis value, Scenario) pairs, in range order
 
 
 def sweep_spec_from_dict(data: dict) -> SweepSpec:
-    if not isinstance(data, dict):
-        raise ValueError("sweep spec must be a mapping")
-    unknown = set(data) - {"axis", "range", "base"}
-    if unknown:
-        raise ValueError(f"unknown field {sorted(unknown)[0]!r} in sweep spec")
-    for name in ("axis", "range", "base"):
-        if name not in data:
-            raise ValueError(f"missing field {name!r} in sweep spec")
+    keys = ("axis", "range", "base")
+    check_keys(data, "sweep spec", keys, required=keys)
     if not isinstance(data["range"], list):
         raise ValueError("'range' must be a list of axis values")
-    return SweepSpec(axis=data["axis"], values=tuple(data["range"]),
-                     base=scenario_from_dict(data["base"]))
+    base = scenario_from_dict(data["base"])
+    axis = data["axis"]
+    if axis not in SWEEP_AXES:
+        raise ValueError(
+            f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
+    if not data["range"]:
+        raise ValueError("sweep range must be non-empty")
+    return SweepSpec(axis, tuple((value, _scenario_for_point(axis, value, base))
+                                 for value in data["range"]))
 
 
-def _scenario_for_point(spec: SweepSpec, value) -> Scenario:
-    base = spec.base
-    if spec.axis == "total_nodes":
-        return replace(base, n_wifi=value // 2, n_laa=value // 2)
-    if spec.axis == "node_split":
-        return replace(base, n_wifi=value,
-                       n_laa=base.n_wifi + base.n_laa - value)
-    if spec.axis == "retry_limit":
-        return replace(base, laa=replace(base.laa, retry_limit=value))
-    if spec.axis == "detection_wifi":
-        return replace(base, p_dw=float(value))
-    return replace(base, p_dl=float(value))
+def _scenario_for_point(axis: str, value, base: Scenario) -> Scenario:
+    """The scenario at one axis value; the type that owns each parameter
+    checks it, and any error names the axis and the value."""
+    check_value(axis, "float" if axis.startswith("detection_") else "int",
+                value)
+    try:
+        if axis == "total_nodes":
+            if value % 2:
+                raise ValueError("must be even, half Wi-Fi and half LAA")
+            return replace(base, n_wifi=value // 2, n_laa=value // 2)
+        if axis == "node_split":
+            return replace(base, n_wifi=value,
+                           n_laa=base.n_wifi + base.n_laa - value)
+        if axis == "retry_limit":
+            return replace(base, laa=replace(base.laa, retry_limit=value))
+        if axis == "detection_wifi":
+            return replace(base, p_dw=float(value))
+        return replace(base, p_dl=float(value))
+    except ValueError as err:
+        raise ValueError(f"{axis} value {value!r}: {err}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +196,7 @@ def run_sweep(spec: SweepSpec, cfg: SolverConfig) -> tuple[list[dict], bool]:
     rows = []
     any_failed = False
     wifi_only = {}  # (n, WifiParams) -> report: one solve per baseline
-    for value in spec.values:
-        point = _scenario_for_point(spec, value)
+    for value, point in spec.points:
         row = {"axis": spec.axis, "axis_value": value, "status": "ok"}
         row.update(_scenario_cells(point))
         try:

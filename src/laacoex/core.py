@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields, replace
 
 import yaml
 
-from ._fields import check_field_types
+from ._fields import check_field_types, check_keys
 from .ed import EdConfig, detection_probability
 
 BITS_PER_BYTE = 8
@@ -161,6 +161,15 @@ class Scenario:
                       next_tx_delay_us=self.wifi.difs_us)
         return replace(self, laa=laa)
 
+    def chains(self) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+        """(w0, m, extra_stays) of the Wi-Fi and of the LAA backoff chain,
+        each holding its top window for ``extra_stays`` further failures
+        before the stage resets; in comparison mode neither holds one."""
+        wifi, laa = self.wifi, self.laa
+        extra_w, extra_l = ((0, 0) if self.comparison_mode
+                            else (1, laa.retry_limit))
+        return (wifi.w0, wifi.m, extra_w), (laa.w0, laa.m, extra_l)
+
 
 @dataclass(frozen=True)
 class Solution:
@@ -227,24 +236,14 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 
 def _params_from_dict(cls, mapping: dict, where: str):
-    _require(isinstance(mapping, dict), f"{where} must be a mapping")
-    known = {f.name for f in fields(cls)}
-    unknown = set(mapping) - known
-    if unknown:
-        raise ValueError(f"unknown field {sorted(unknown)[0]!r} in {where}")
+    check_keys(mapping, where, (f.name for f in fields(cls)))
     return cls(**mapping)
 
 
 def _detection_from_block(block: dict, where: str) -> float:
-    _require(isinstance(block, dict), f"{where} must be a mapping")
-    allowed = {"threshold_dbm", "signal_power_dbm", "snr_db",
-               "noise_power_dbm", "samples"}
-    unknown = set(block) - allowed
-    if unknown:
-        raise ValueError(f"unknown field {sorted(unknown)[0]!r} in {where}")
-    missing = {"threshold_dbm", "noise_power_dbm", "samples"} - set(block)
-    if missing:
-        raise ValueError(f"missing field {sorted(missing)[0]!r} in {where}")
+    check_keys(block, where, ("threshold_dbm", "signal_power_dbm", "snr_db",
+                              "noise_power_dbm", "samples"),
+               required=("noise_power_dbm", "samples", "threshold_dbm"))
     if "snr_db" in block:
         _require("signal_power_dbm" not in block,
                  f"{where}: give either snr_db or signal_power_dbm, not both")
@@ -266,13 +265,9 @@ def scenario_from_dict(data: dict) -> Scenario:
     configuration (threshold_dbm, snr_db or signal_power_dbm,
     noise_power_dbm, samples).
     """
-    _require(isinstance(data, dict), "scenario must be a mapping")
-    known = set(_SCALAR_FIELDS) | {"wifi", "laa", "ed_wifi", "ed_laa"}
-    unknown = set(data) - known
-    if unknown:
-        raise ValueError(f"unknown field {sorted(unknown)[0]!r} in scenario")
-    for name in ("n_wifi", "n_laa"):
-        _require(name in data, f"missing field {name!r} in scenario")
+    check_keys(data, "scenario",
+               _SCALAR_FIELDS + ("wifi", "laa", "ed_wifi", "ed_laa"),
+               required=("n_wifi", "n_laa"))
 
     kwargs = {k: data[k] for k in _SCALAR_FIELDS if k in data}
     if "wifi" in data:
@@ -297,13 +292,3 @@ def scenario_to_yaml(s: Scenario) -> str:
 def scenario_from_yaml(text: str) -> Scenario:
     return scenario_from_dict(yaml.load(text, Loader=_YamlLoader))
 
-
-def load_scenario(path) -> Scenario:
-    """Read a scenario file (YAML, UTF-8)."""
-    with open(path, encoding="utf-8") as fh:
-        return scenario_from_yaml(fh.read())
-
-
-def save_scenario(s: Scenario, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(scenario_to_yaml(s))

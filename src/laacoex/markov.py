@@ -10,14 +10,11 @@ of the stationary distribution.
 """
 from __future__ import annotations
 
+from .core import LaaParams, WifiParams
+
 # |1 - x| below this uses the limit value of (1 - x^n)/(1 - x); the factor
 # cancels analytically, the closed form just cannot evaluate it at x = 1.
 _POLE_EPS = 1e-9
-
-
-def _check_collision_probability(p: float) -> None:
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"collision probability must be in [0, 1), got {p!r}")
 
 
 def chain_tau(w0: int, m: int, extra_stages: int):
@@ -36,7 +33,8 @@ def chain_tau(w0: int, m: int, extra_stages: int):
 
     def tau(p: float) -> float:
         if not 0.0 <= p < 1.0:
-            _check_collision_probability(p)
+            raise ValueError(
+                f"collision probability must be in [0, 1), got {p!r}")
         q = 1.0 - p                     # > 0 from here on
         if q < _POLE_EPS:
             transmit, held = n_stages, held_terms
@@ -58,11 +56,10 @@ def wifi_tau(w0: int, m: int, p_w: float) -> float:
 
     The chain holds the top window for one extra failure after stage m.
     Collapses to 2/(w0+1) at p_w = 0 and is continuous across the removable
-    p_w = 0.5 pole of the closed form.
+    p_w = 0.5 pole of the closed form. ``w0`` and ``m`` follow the rules of
+    WifiParams.
     """
-    if w0 < 1 or m < 0:
-        raise ValueError("w0 must be >= 1 and m >= 0")
-    _check_collision_probability(p_w)
+    WifiParams(w0=w0, m=m)
     return chain_tau(w0, m, 1)(p_w)
 
 
@@ -71,10 +68,8 @@ def laa_tau(w0: int, m: int, e_l: int, p_l: float) -> float:
 
     ``e_l`` is the number of extra failures spent at the top window before
     the stage resets; ``e_l=1`` makes the chain identical to the Wi-Fi one.
+    ``w0``, ``m`` and ``e_l`` follow the rules of LaaParams' w0, m and
+    retry_limit.
     """
-    if w0 < 1 or m < 0:
-        raise ValueError("w0 must be >= 1 and m >= 0")
-    if not 0 <= e_l <= 8:
-        raise ValueError("e_l must be in [0, 8]")
-    _check_collision_probability(p_l)
+    LaaParams(w0=w0, m=m, retry_limit=e_l)
     return chain_tau(w0, m, e_l)(p_l)

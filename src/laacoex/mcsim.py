@@ -29,6 +29,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
+from ._fields import check_field_types
 from .core import Scenario, derived_durations
 from .throughput import event_durations
 
@@ -58,10 +59,9 @@ class SimConfig:
     trace_path: str | None = None     # per-event CSV dump (debugging; slow)
 
     def __post_init__(self) -> None:
-        for name in ("horizon_events", "warmup_events", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        check_field_types(self)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.horizon_events > self.warmup_events >= 0:
             raise ValueError("horizon_events must exceed warmup_events >= 0")
 
@@ -110,15 +110,13 @@ def simulate(cfg: SimConfig) -> SimReport:
     bit_l = s.laa.pdcch_fraction * s.laa.txop_us * s.laa.data_rate_mbps
     slot = s.wifi.slot_us
 
-    # Stage ceilings: the chain resets after its last stay at the top window.
-    # Comparison mode drops the Wi-Fi chain's extra stay, like the testbed MAC.
-    max_stage_w = s.wifi.m + (0 if s.comparison_mode else 1)
-    max_stage_l = s.laa.m + s.laa.retry_limit
-    win_w = [2 ** min(j, s.wifi.m) * s.wifi.w0 for j in range(max_stage_w + 1)]
-    win_l = [2 ** min(j, s.laa.m) * s.laa.w0 for j in range(max_stage_l + 1)]
+    # Per chain, the window of each stage up to the last stay at the top
+    # window, after which the stage resets.
+    win_w, win_l = ([2 ** min(j, m) * w0 for j in range(m + extra + 1)]
+                    for w0, m, extra in s.chains())
     # Per station, Wi-Fi first: the top stage and, per stage, the window with
     # the bit mask of its mask-and-reject draw (no modulo bias).
-    top = [max_stage_w] * n_w + [max_stage_l] * n_l
+    top = [len(win_w) - 1] * n_w + [len(win_l) - 1] * n_l
     windows = [[(w, (1 << (w - 1).bit_length()) - 1) for w in win]
                for win in [win_w] * n_w + [win_l] * n_l]
     first = [wins[0] for wins in windows]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._fields import check_field_types
 from .core import Scenario, Solution, WifiParams
 from .markov import chain_tau
 
@@ -31,6 +32,7 @@ class SolverConfig:
     damping: float = 0.5          # step fraction toward the mapped value
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if not self.tolerance > 0:
             raise ValueError("tolerance must be > 0")
         if self.max_iterations < 1:
@@ -69,12 +71,11 @@ def _compile_map(s: Scenario):
     # counts as floats, which is what ``float ** int`` converts them to
     w_all, l_all, w_others, l_others = map(float, (n_w, n_l, n_w - 1, n_l - 1))
     laa_side = None
+    wifi_chain, laa_chain = s.chains()
     if n_w:
-        # Comparison mode mirrors the testbed MAC, which resets the stage
-        # right after m instead of staying one extra round at the top window.
-        wifi = chain_tau(s.wifi.w0, s.wifi.m, 0 if s.comparison_mode else 1)
+        wifi = chain_tau(*wifi_chain)
     if n_l:
-        laa = chain_tau(s.laa.w0, s.laa.m, s.laa.retry_limit)
+        laa = chain_tau(*laa_chain)
 
         def laa_side(tau_w: float, tau_l: float):
             own_idle = (1.0 - tau_l) ** l_others
@@ -196,7 +197,5 @@ def solve_coexistence(s: Scenario, cfg: SolverConfig = SolverConfig()) -> Soluti
 def solve_wifi_only(n: int, w0: int, m: int,
                     cfg: SolverConfig = SolverConfig()) -> Solution:
     """Single-technology fixed point for n contending Wi-Fi stations."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     return solve_coexistence(Scenario(n_wifi=n, n_laa=0,
                                       wifi=WifiParams(w0=w0, m=m)), cfg)

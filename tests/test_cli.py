@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 import laacoex
 from laacoex import cli, solver, throughput
-from laacoex.core import LaaParams, Scenario, WifiParams
+from laacoex.core import (LaaParams, Scenario, Solution, ThroughputReport,
+                          WifiParams)
 
 SRC_DIR = Path(laacoex.__file__).resolve().parent.parent
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "bench" / "golden"
@@ -273,6 +274,19 @@ class TestRunCommand:
                                "--tolerance", "1e-300")
         assert code == 3
         assert "residual" in err
+
+    @pytest.mark.parametrize("flags, field", [
+        (("--tolerance", "inf"), "tolerance"),
+        (("--tolerance", "1e400"), "tolerance"),
+        (("--engine", "simulate", "--horizon", "2000", "--seed", "-1"),
+         "seed"),
+    ])
+    def test_invalid_flag_exits_2(self, capsys, flags, field):
+        # an infinite tolerance would accept the solver's starting point
+        code, out, err = run_cli(capsys, "run", "table4_case3", *flags)
+        assert code == 2
+        assert out == ""
+        assert re.search(rf"\b{field}\b", err)
 
 
 class TestSweepCommand:
@@ -719,6 +733,13 @@ class TestRowShape:
         _, out, _ = run_cli(capsys, "run", "table4_case1")
         _, header, _ = parse_csv(out)
         assert tuple(header) == cli._RUN_COLUMNS
+
+    def test_every_result_field_is_a_column(self):
+        # the result columns are listed by hand; a new Solution or
+        # ThroughputReport field must not drop out of the CSV unnoticed
+        results = {f.name for f in fields(Solution) if f.name != "method"}
+        results |= {f.name for f in fields(ThroughputReport)}
+        assert results <= set(cli._RUN_COLUMNS)
 
     def test_simulate_row_has_measured_event_mix(self, capsys):
         _, out, _ = run_cli(capsys, "run", "table4_case3",

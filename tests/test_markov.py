@@ -37,6 +37,12 @@ class TestWifiTau:
         with pytest.raises(ValueError):
             wifi_tau(16, 6, 1.0)
 
+    @pytest.mark.parametrize("w0, m", [(16, 2000), (1.5, 1)])
+    def test_window_follows_wifi_params_rules(self, w0, m):
+        # a huge m is named, not left to overflow 2.0 ** m
+        with pytest.raises(ValueError, match=r"\b(w0|m)\b"):
+            wifi_tau(w0, m, 0.1)
+
     @pytest.mark.parametrize("p", [float("nan"), -0.1, 1.0])
     def test_bound_chain_rejects_invalid_probability(self, p):
         # the closure the solver binds once per solve keeps the range check
@@ -83,6 +89,8 @@ class TestLaaTau:
             laa_tau(16, 2, 9, 0.1)
         with pytest.raises(ValueError):
             laa_tau(16, 2, -1, 0.1)
+        with pytest.raises(ValueError, match="retry_limit"):
+            laa_tau(16, 1, 1.5, 0.1)
 
 
 class TestStationaryDistributions:

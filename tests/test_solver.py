@@ -196,6 +196,10 @@ class TestSolverConfig:
             SolverConfig(damping=0.0)
         with pytest.raises(ValueError):
             SolverConfig(max_iterations=0)
+        with pytest.raises(ValueError, match="tolerance"):
+            SolverConfig(tolerance=float("inf"))
+        with pytest.raises(ValueError, match="max_iterations"):
+            SolverConfig(max_iterations=True)
 
     def test_bisection_fallback_rescues_tiny_budget(self):
         # one damped step cannot converge; the fallback must still deliver
