@@ -14,8 +14,7 @@ from .core import (LaaParams, Scenario, Solution, ThroughputReport,
                    scenario_to_yaml)
 from .ed import EdConfig, dbm_to_mw, detection_probability
 from .markov import laa_tau, wifi_tau
-from .solver import (ConvergenceError, SolverConfig, solve_coexistence,
-                     solve_wifi_only)
+from .solver import ConvergenceError, SolverConfig, solve_coexistence
 from .throughput import (EventDurations, EventProbabilities,
                          coexistence_throughput, event_durations,
                          event_probabilities, expected_event_time,
@@ -28,7 +27,7 @@ __all__ = [
     "scenario_to_dict", "scenario_from_dict", "scenario_to_yaml",
     "scenario_from_yaml",
     "wifi_tau", "laa_tau",
-    "SolverConfig", "ConvergenceError", "solve_coexistence", "solve_wifi_only",
+    "SolverConfig", "ConvergenceError", "solve_coexistence",
     "EventProbabilities", "EventDurations", "event_probabilities",
     "event_durations", "expected_event_time", "coexistence_throughput",
     "wifi_only_throughput",

@@ -11,6 +11,7 @@ import argparse
 import csv
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from importlib import resources
 
@@ -18,11 +19,10 @@ import yaml
 
 from . import __version__
 from ._fields import check_keys, check_value
-from .core import (Scenario, _YamlLoader, scenario_from_dict,
-                   scenario_to_dict)
+from .core import (Scenario, ThroughputReport, _YamlLoader,
+                   scenario_from_dict, scenario_to_dict)
 from .solver import ConvergenceError, SolverConfig, solve_coexistence
-from .throughput import (coexistence_throughput, event_durations,
-                         wifi_only_throughput)
+from .throughput import coexistence_throughput, wifi_only_throughput
 
 OUT_DIR_ENV = "LAACOEX_OUT_DIR"
 
@@ -80,10 +80,10 @@ def _scenario_for_point(axis: str, value, base: Scenario) -> Scenario:
 # CSV assembly
 # ---------------------------------------------------------------------------
 
-def _scenario_cells(s: Scenario) -> dict:
+def _scenario_cells(eff: Scenario) -> dict:
     """Effective parameters in ``scenario_to_dict`` order, groups prefixed."""
     cells = {}
-    for key, value in scenario_to_dict(s.effective()).items():
+    for key, value in scenario_to_dict(eff).items():
         if isinstance(value, dict):
             cells.update((f"{key}_{name}", v) for name, v in value.items())
         else:
@@ -112,24 +112,27 @@ _SWEEP_COLUMNS = ("axis", "axis_value", "status") + _SCENARIO_COLUMNS + (
 )
 
 
-def _report_cells(rep) -> dict:
-    """Every ThroughputReport field under its own name, plus the total."""
-    cells = {f.name: getattr(rep, f.name) for f in fields(rep)}
-    cells["tput_total_mbps"] = rep.tput_wifi_mbps + rep.tput_laa_mbps
-    return cells
+def _engine_row(engine: str, eff: Scenario, probs, rep: ThroughputReport,
+                **extra) -> dict:
+    """Cells both engines fill: the scenario, tau and p from ``probs``,
+    every ThroughputReport field and the total throughput; then ``extra``."""
+    row = {"engine": engine}
+    row.update(_scenario_cells(eff))
+    row.update(tau_w=probs.tau_w, tau_l=probs.tau_l, p_w=probs.p_w,
+               p_l=probs.p_l)
+    row.update((f.name, getattr(rep, f.name))
+               for f in fields(ThroughputReport))
+    row["tput_total_mbps"] = rep.tput_wifi_mbps + rep.tput_laa_mbps
+    row.update(extra)
+    return row
 
 
 def analytic_row(s: Scenario, cfg: SolverConfig) -> dict:
     """Solve one scenario analytically and flatten the results to CSV cells."""
     eff = s.effective()
     sol = solve_coexistence(eff, cfg)
-    rep = coexistence_throughput(eff, sol)
-    row = {"engine": "analytic"}
-    row.update(_scenario_cells(eff))
-    row.update(tau_w=sol.tau_w, tau_l=sol.tau_l, p_w=sol.p_w, p_l=sol.p_l,
-               residual=sol.residual, iterations=sol.iterations)
-    row.update(_report_cells(rep))
-    return row
+    return _engine_row("analytic", eff, sol, coexistence_throughput(eff, sol),
+                       residual=sol.residual, iterations=sol.iterations)
 
 
 def simulate_row(s: Scenario, seed: int, horizon: int, warmup: int,
@@ -141,38 +144,13 @@ def simulate_row(s: Scenario, seed: int, horizon: int, warmup: int,
     sim = simulate(SimConfig(
         scenario=eff, horizon_events=horizon, seed=seed,
         warmup_events=warmup, trace_path=trace_path))
-    counts = sim.event_counts
-    events = sum(counts.values())
-    durations = event_durations(eff)
-    wifi_any = (counts["wifi-success"] + counts["wifi-collision"]
-                + counts["cross-collision"])
-    laa_any = (counts["laa-success"] + counts["laa-collision"]
-               + counts["cross-collision"])
-    row = {"engine": "simulate"}
-    row.update(_scenario_cells(eff))
-    row.update(
-        tau_w=sim.measured_tau_w, tau_l=sim.measured_tau_l,
-        p_w=sim.measured_p_w, p_l=sim.measured_p_l,
-        p_trw=wifi_any / events, p_trl=laa_any / events,
-        t_sw_us=durations.t_sw, t_cw_us=durations.t_cw,
-        t_sl_us=durations.t_sl, t_cl_us=durations.t_cl,
-        t_cc_us=durations.t_cc, t_e_us=sim.t_e_us,
-        tput_wifi_mbps=sim.tput_wifi_mbps, tput_laa_mbps=sim.tput_laa_mbps,
-        tput_total_mbps=sim.tput_wifi_mbps + sim.tput_laa_mbps,
-        per_user_wifi_mbps=(sim.tput_wifi_mbps / eff.n_wifi
-                            if eff.n_wifi else 0.0),
-        per_user_laa_mbps=(sim.tput_laa_mbps / eff.n_laa
-                           if eff.n_laa else 0.0),
-        seed=seed, horizon_events=horizon, warmup_events=warmup,
+    row = _engine_row(
+        "simulate", eff, sim, sim, seed=seed, horizon_events=horizon,
+        warmup_events=warmup,
         stderr_tput_wifi_mbps=sim.stderr["tput_wifi_mbps"],
-        stderr_tput_laa_mbps=sim.stderr["tput_laa_mbps"],
-        idle_events=counts["idle"],
-        wifi_success_events=counts["wifi-success"],
-        laa_success_events=counts["laa-success"],
-        wifi_collision_events=counts["wifi-collision"],
-        laa_collision_events=counts["laa-collision"],
-        cross_collision_events=counts["cross-collision"],
-    )
+        stderr_tput_laa_mbps=sim.stderr["tput_laa_mbps"])
+    row.update((f"{cls.replace('-', '_')}_events", count)
+               for cls, count in sim.event_counts.items())
     return row
 
 
@@ -197,15 +175,15 @@ def run_sweep(spec: SweepSpec, cfg: SolverConfig) -> tuple[list[dict], bool]:
     any_failed = False
     wifi_only = {}  # (n, WifiParams) -> report: one solve per baseline
     for value, point in spec.points:
+        eff = point.effective()
         row = {"axis": spec.axis, "axis_value": value, "status": "ok"}
-        row.update(_scenario_cells(point))
+        row.update(_scenario_cells(eff))
         try:
             # the baseline: the point's whole population, all Wi-Fi
-            key = (point.n_wifi + point.n_laa, point.wifi)
+            key = (eff.n_wifi + eff.n_laa, eff.wifi)
             if key not in wifi_only:
                 wifi_only[key] = wifi_only_throughput(*key, cfg)
             baseline = wifi_only[key]
-            eff = point.effective()
             coex = coexistence_throughput(eff, solve_coexistence(eff, cfg))
             row.update(
                 wifi_only_total_mbps=baseline.tput_wifi_mbps,
@@ -245,11 +223,11 @@ def _write_csv(out, header, rows) -> None:
 def _open_output(path: str | None):
     """Open the output target; relative paths land in $LAACOEX_OUT_DIR."""
     if path is None or path == "-":
-        return sys.stdout, False
+        return nullcontext(sys.stdout)
     out_dir = os.environ.get(OUT_DIR_ENV)
     if out_dir and not os.path.isabs(path):
         path = os.path.join(out_dir, path)
-    return open(path, "w", newline="", encoding="utf-8"), True
+    return open(path, "w", newline="", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +279,8 @@ def _cmd_run(args) -> int:
     rows = run_scenario(scenario, args.engine, _solver_config(args),
                         seed=args.seed, horizon=args.horizon,
                         warmup=args.warmup, trace_path=args.trace)
-    out, close = _open_output(args.out)
-    try:
+    with _open_output(args.out) as out:
         _write_csv(out, _RUN_COLUMNS, rows)
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -317,12 +291,8 @@ def _cmd_sweep(args) -> int:
             f"{args.spec!r} looks like a scenario; use 'laacoex run'")
     spec = sweep_spec_from_dict(data)
     rows, any_failed = run_sweep(spec, _solver_config(args))
-    out, close = _open_output(args.out)
-    try:
+    with _open_output(args.out) as out:
         _write_csv(out, _SWEEP_COLUMNS, rows)
-    finally:
-        if close:
-            out.close()
     if any_failed:
         print("error: one or more sweep points failed to converge "
               "(see status column)", file=sys.stderr)
@@ -394,10 +364,7 @@ def main(argv=None) -> int:
     except (ConvergenceError, OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except (ValueError, TypeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (ValueError, TypeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except yaml.YAMLError as err:

@@ -154,12 +154,16 @@ class Scenario:
         _require(0 <= self.p_dl <= 1, "p_dl must be in [0, 1]")
 
     def effective(self) -> "Scenario":
-        """Scenario with comparison-mode overrides applied to the LAA side."""
-        if not self.comparison_mode:
+        """Scenario with comparison-mode overrides applied to the LAA side,
+        or ``self`` when they already hold, the delay as DIFS's very value
+        and type (an int 34 echoes as 34, not 34.0)."""
+        laa, difs = self.laa, self.wifi.difs_us
+        delay = laa.next_tx_delay_us
+        if not self.comparison_mode or (laa.retry_limit == 0 and delay == difs
+                                        and type(delay) is type(difs)):
             return self
-        laa = replace(self.laa, retry_limit=0,
-                      next_tx_delay_us=self.wifi.difs_us)
-        return replace(self, laa=laa)
+        return replace(self, laa=replace(laa, retry_limit=0,
+                                         next_tx_delay_us=difs))
 
     def chains(self) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
         """(w0, m, extra_stays) of the Wi-Fi and of the LAA backoff chain,

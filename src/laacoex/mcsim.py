@@ -30,10 +30,11 @@ from itertools import chain, repeat
 import numpy as np
 
 from ._fields import check_field_types
-from .core import Scenario, derived_durations
+from .core import Scenario, ThroughputReport, derived_durations
 from .throughput import event_durations
 
 _BATCHES = 100          # batch-means groups for standard-error estimates
+MAX_STATIONS = 1024     # larger runs are refused before any list is built
 # uint64 draws fetched from the generator at a time. Each is one raw PCG64
 # output, so the stream does not depend on it; 30k events at 2-6 stations
 # take 6k-53k draws.
@@ -64,21 +65,26 @@ class SimConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.horizon_events > self.warmup_events >= 0:
             raise ValueError("horizon_events must exceed warmup_events >= 0")
+        n = self.scenario.n_wifi + self.scenario.n_laa
+        if n > MAX_STATIONS:
+            raise ValueError(f"n_wifi + n_laa must be <= {MAX_STATIONS} for "
+                             f"the simulator, got {n}")
 
 
 @dataclass(frozen=True)
-class SimReport:
-    """Measured counterparts of the analytical quantities."""
+class SimReport(ThroughputReport):
+    """A ThroughputReport measured over the counted events, plus what only
+    the simulator has. ``p_trw`` is the share of events with a Wi-Fi
+    transmission, ``p_sw`` successes over successes plus Wi-Fi collisions
+    (0.0 without either), LAA alike. The durations are the analytic ones;
+    ``t_e_us``, which the throughputs divide by, is time per event."""
 
-    tput_wifi_mbps: float
-    tput_laa_mbps: float
-    measured_tau_w: float
-    measured_tau_l: float
-    measured_p_w: float
-    measured_p_l: float
-    t_e_us: float     # mean event time: total simulated time / counted events
-    event_counts: dict[str, int]
-    stderr: dict[str, float]
+    tau_w: float      # attempts per Wi-Fi station per event
+    tau_l: float
+    p_w: float        # chain collisions per Wi-Fi attempt
+    p_l: float
+    event_counts: dict[str, int]   # per EVENT_CLASSES class
+    stderr: dict[str, float]       # batch-means standard errors
 
 
 EVENT_CLASSES = ("idle", "wifi-success", "laa-success",
@@ -225,7 +231,7 @@ def simulate(cfg: SimConfig) -> SimReport:
     counts = dict(zip(EVENT_CLASSES, [counted - sum(tx)] + tx))
     b_events = [batch_size] * (n_batches - 1)
     b_events.append(counted - sum(b_events))
-    return _report(n_w, n_l, counts, b_events, *columns[:7])
+    return _report(n_w, n_l, d, counts, b_events, *columns[:7])
 
 
 def _add_repeated(total: float, step: float, n: int) -> float:
@@ -250,7 +256,7 @@ def _detects(draw, p_d: float) -> bool:
     return p_d >= 1.0 or (p_d > 0.0 and draw() < p_d * 2.0 ** 64)
 
 
-def _report(n_w, n_l, counts, b_events, b_time, b_bits_w, b_bits_l,
+def _report(n_w, n_l, d, counts, b_events, b_time, b_bits_w, b_bits_l,
             b_att_w, b_att_l, b_col_w, b_col_l) -> SimReport:
     total_time = _fsum(b_time)
     events = sum(b_events)
@@ -275,14 +281,22 @@ def _report(n_w, n_l, counts, b_events, b_time, b_bits_w, b_bits_l,
                   if len(values) > 1 else 0.0
                   for name, values in batch_metrics.items()}
 
+    tput_w, tput_l = _fsum(b_bits_w) / total_time, _fsum(b_bits_l) / total_time
+    _, n_sw, n_sl, n_cw, n_cl, n_cc = (counts[c] for c in EVENT_CLASSES)
     report = SimReport(
-        tput_wifi_mbps=_fsum(b_bits_w) / total_time,
-        tput_laa_mbps=_fsum(b_bits_l) / total_time,
-        measured_tau_w=att_w / (n_w * events) if n_w else 0.0,
-        measured_tau_l=att_l / (n_l * events) if n_l else 0.0,
-        measured_p_w=col_w / att_w if att_w else 0.0,
-        measured_p_l=col_l / att_l if att_l else 0.0,
-        t_e_us=total_time / events,
+        p_trw=(n_sw + n_cw + n_cc) / events,
+        p_sw=n_sw / (n_sw + n_cw) if n_sw + n_cw else 0.0,
+        p_trl=(n_sl + n_cl + n_cc) / events,
+        p_sl=n_sl / (n_sl + n_cl) if n_sl + n_cl else 0.0,
+        t_sw_us=d.t_sw, t_cw_us=d.t_cw, t_sl_us=d.t_sl, t_cl_us=d.t_cl,
+        t_cc_us=d.t_cc, t_e_us=total_time / events,
+        tput_wifi_mbps=tput_w, tput_laa_mbps=tput_l,
+        per_user_wifi_mbps=tput_w / n_w if n_w else 0.0,
+        per_user_laa_mbps=tput_l / n_l if n_l else 0.0,
+        tau_w=att_w / (n_w * events) if n_w else 0.0,
+        tau_l=att_l / (n_l * events) if n_l else 0.0,
+        p_w=col_w / att_w if att_w else 0.0,
+        p_l=col_l / att_l if att_l else 0.0,
         event_counts=counts,
         stderr=stderr)
     for name, value in chain(vars(report).items(), (

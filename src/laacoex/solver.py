@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._fields import check_field_types
-from .core import Scenario, Solution, WifiParams
+from .core import Scenario, Solution
 from .markov import chain_tau
 
 # Numerical guard: the chain formulas are undefined at p = 1, which only
@@ -192,10 +192,3 @@ def solve_coexistence(s: Scenario, cfg: SolverConfig = SolverConfig()) -> Soluti
 
     return _solve_by_bisection(mapped, laa_side, bool(s.n_wifi), cfg,
                                iteration)
-
-
-def solve_wifi_only(n: int, w0: int, m: int,
-                    cfg: SolverConfig = SolverConfig()) -> Solution:
-    """Single-technology fixed point for n contending Wi-Fi stations."""
-    return solve_coexistence(Scenario(n_wifi=n, n_laa=0,
-                                      wifi=WifiParams(w0=w0, m=m)), cfg)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .core import (Scenario, Solution, ThroughputReport, WifiParams,
                    derived_durations)
-from .solver import SolverConfig, solve_wifi_only
+from .solver import SolverConfig, solve_coexistence
 
 
 @dataclass(frozen=True)
@@ -141,5 +141,5 @@ def wifi_only_throughput(n: int, wifi: WifiParams,
                          cfg: SolverConfig = SolverConfig()) -> ThroughputReport:
     """Classic single-technology saturation throughput for n Wi-Fi stations:
     the coexistence throughput with no LAA nodes, all LAA fields zero."""
-    return coexistence_throughput(Scenario(n_wifi=n, n_laa=0, wifi=wifi),
-                                  solve_wifi_only(n, wifi.w0, wifi.m, cfg))
+    s = Scenario(n_wifi=n, n_laa=0, wifi=wifi)
+    return coexistence_throughput(s, solve_coexistence(s, cfg))

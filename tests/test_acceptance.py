@@ -13,7 +13,7 @@ from laacoex.core import LaaParams, Scenario, WifiParams
 from laacoex.ed import EdConfig, detection_probability
 from laacoex.markov import laa_tau, wifi_tau
 from laacoex.mcsim import SimConfig, simulate
-from laacoex.solver import SolverConfig, solve_coexistence, solve_wifi_only
+from laacoex.solver import SolverConfig, solve_coexistence
 from laacoex.throughput import (EventDurations, EventProbabilities,
                                 coexistence_throughput,
                                 expected_event_time, wifi_only_throughput)
@@ -314,7 +314,8 @@ def test_c7_property_suites():
             else:
                 hi = mid
         oracle_tau = wifi_tau(w0, m, 0.5 * (lo + hi))
-        assert abs(solve_wifi_only(n, w0, m).tau_w - oracle_tau) <= 1e-8
+        wifi_only = Scenario(n_wifi=n, n_laa=0, wifi=WifiParams(w0=w0, m=m))
+        assert abs(solve_coexistence(wifi_only).tau_w - oracle_tau) <= 1e-8
     timings["bisection oracle"] = time.perf_counter() - t0
 
     for name, seconds in timings.items():

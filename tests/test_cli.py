@@ -538,7 +538,7 @@ class TestSolveCounts:
                                                        monkeypatch):
         # fig10 holds the population at 20: one baseline for 19 points
         calls = []
-        counting(monkeypatch, calls, (throughput, "solve_wifi_only"))
+        counting(monkeypatch, calls, (cli, "wifi_only_throughput"))
         code, out, _ = run_cli(capsys, "sweep", "fig10")
         assert code == 0
         assert calls == [20]
@@ -551,7 +551,7 @@ class TestSolveCounts:
         spec.write_text("axis: node_split\nrange: [20, 10, 20]\n"
                         "base: {n_wifi: 10, n_laa: 10}\n")
         calls = []
-        counting(monkeypatch, calls, (throughput, "solve_wifi_only"))
+        counting(monkeypatch, calls, (cli, "wifi_only_throughput"))
         code, out, _ = run_cli(capsys, "sweep", str(spec))
         assert code == 0
         assert calls == [20]
@@ -566,7 +566,7 @@ class TestSolveCounts:
         spec.write_text("axis: total_nodes\nrange: [4, 4]\n"
                         "base: {n_wifi: 1, n_laa: 1}\n")
         calls = []
-        counting(monkeypatch, calls, (throughput, "solve_wifi_only"))
+        counting(monkeypatch, calls, (cli, "wifi_only_throughput"))
         code, out, _ = run_cli(capsys, "sweep", str(spec),
                                "--tolerance", "1e-300")
         assert code == 3
@@ -586,7 +586,7 @@ class TestSolveCounts:
     def test_repeated_request_solves_again(self, capsys, monkeypatch):
         # no result outlives a request
         calls = []
-        counting(monkeypatch, calls, (throughput, "solve_wifi_only"))
+        counting(monkeypatch, calls, (cli, "wifi_only_throughput"))
         for _ in range(2):
             assert run_cli(capsys, "sweep", "fig10")[0] == 0
         assert calls == [20, 20]
@@ -735,10 +735,15 @@ class TestRowShape:
         assert tuple(header) == cli._RUN_COLUMNS
 
     def test_every_result_field_is_a_column(self):
-        # the result columns are listed by hand; a new Solution or
-        # ThroughputReport field must not drop out of the CSV unnoticed
+        # the result columns are listed by hand; a new Solution,
+        # ThroughputReport or SimReport field must not drop out of the CSV
+        # unnoticed
+        from laacoex.mcsim import EVENT_CLASSES, SimReport
         results = {f.name for f in fields(Solution) if f.name != "method"}
         results |= {f.name for f in fields(ThroughputReport)}
+        results |= {f.name for f in fields(SimReport)
+                    if f.name not in ("event_counts", "stderr")}
+        results |= {f"{c.replace('-', '_')}_events" for c in EVENT_CLASSES}
         assert results <= set(cli._RUN_COLUMNS)
 
     def test_simulate_row_has_measured_event_mix(self, capsys):
@@ -754,3 +759,27 @@ class TestRowShape:
         assert counted == 40_000
         assert row["residual"] == ""
         assert float(row["t_e_us"]) > 0
+        # the success shares are the row's own counts
+        for net in ("wifi", "laa"):
+            won, lost = (int(row[f"{net}_{kind}_events"])
+                         for kind in ("success", "collision"))
+            assert float(row[f"p_s{net[0]}"]) == won / (won + lost)
+
+    def test_lone_wifi_station_always_succeeds(self, tmp_path, capsys):
+        path = tmp_path / "one.yaml"
+        path.write_text("n_wifi: 1\nn_laa: 0\n")
+        code, out, _ = run_cli(capsys, "run", str(path), "--engine",
+                               "simulate", "--horizon", "20000")
+        assert code == 0
+        row = parse_csv(out)[2][0]
+        assert (row["p_sw"], row["p_sl"]) == ("1.0", "0.0")
+
+    def test_simulator_station_cap_names_the_counts(self, tmp_path, capsys):
+        # far above the cap, refused before any per-station list is built
+        path = tmp_path / "huge.yaml"
+        path.write_text("n_wifi: 100000000000000000000\nn_laa: 0\n")
+        code, out, err = run_cli(capsys, "run", str(path), "--engine",
+                                 "simulate")
+        assert code == 2
+        assert out == ""
+        assert "n_wifi + n_laa must be <= 1024 for the simulator" in err

@@ -201,6 +201,17 @@ class TestComparisonMode:
         s = Scenario(n_wifi=1, n_laa=1)
         assert s.effective() is s
 
+    def test_resolving_twice_returns_the_same_scenario(self):
+        eff = Scenario(n_wifi=1, n_laa=1, comparison_mode=True).effective()
+        assert eff.effective() is eff
+
+    def test_equal_delay_of_another_type_is_replaced(self):
+        # an int DIFS echoes as an int, as the overrides write it
+        s = Scenario(n_wifi=1, n_laa=1, wifi=WifiParams(difs_us=34),
+                     laa=LaaParams(retry_limit=0, next_tx_delay_us=34.0),
+                     comparison_mode=True)
+        assert type(s.effective().laa.next_tx_delay_us) is int
+
     def test_visible_in_dict_form(self):
         s = Scenario(n_wifi=1, n_laa=1, comparison_mode=True)
         echoed = scenario_to_dict(s.effective())

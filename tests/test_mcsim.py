@@ -6,10 +6,13 @@ import random
 import numpy as np
 import pytest
 
-from laacoex.core import LaaParams, Scenario, WifiParams, load_priority_class
-from laacoex.mcsim import EVENT_CLASSES, SimConfig, _add_repeated, simulate
+from laacoex.core import (LaaParams, Scenario, ThroughputReport, WifiParams,
+                          load_priority_class)
+from laacoex.mcsim import (EVENT_CLASSES, MAX_STATIONS, SimConfig,
+                           _add_repeated, simulate)
 from laacoex.solver import solve_coexistence
-from laacoex.throughput import event_durations, event_probabilities
+from laacoex.throughput import (coexistence_throughput, event_durations,
+                                event_probabilities)
 
 
 def case3_scenario(n_wifi=1, n_laa=1):
@@ -171,8 +174,7 @@ class TestReferenceStream:
         counts, hexes = self.EXPECTED[name]
         assert tuple(report.event_counts[c] for c in EVENT_CLASSES) == counts
         measured = [report.tput_wifi_mbps, report.tput_laa_mbps,
-                    report.measured_tau_w, report.measured_tau_l,
-                    report.measured_p_w, report.measured_p_l]
+                    report.tau_w, report.tau_l, report.p_w, report.p_l]
         measured += [report.stderr[key] for key in sorted(report.stderr)]
         assert [value.hex() for value in measured] == list(hexes)
 
@@ -188,7 +190,7 @@ class TestAccounting:
     def test_lone_station_never_collides(self):
         report = simulate(SimConfig(scenario=wifi_only_scenario(1),
                                     horizon_events=30_000, seed=9))
-        assert report.measured_p_w == 0.0
+        assert report.p_w == 0.0
         assert report.event_counts["wifi-collision"] == 0
         assert report.event_counts["cross-collision"] == 0
         assert report.tput_laa_mbps == 0.0
@@ -211,6 +213,14 @@ class TestAccounting:
         with pytest.raises(ValueError, match=field):
             SimConfig(scenario=case3_scenario(), **{field: value})
 
+    # only counts above the cap: they are refused before any list is built
+    @pytest.mark.parametrize("n_wifi, n_laa", [
+        (MAX_STATIONS + 1, 0), (MAX_STATIONS, 1), (0, 10**20)])
+    def test_station_cap(self, n_wifi, n_laa):
+        with pytest.raises(ValueError,
+                           match=f"must be <= {MAX_STATIONS} for the simulator"):
+            SimConfig(scenario=Scenario(n_wifi=n_wifi, n_laa=n_laa))
+
     def test_batched_idle_time_matches_slot_by_slot_sums(self):
         # idle time is booked per run; it must carry the bits of adding one
         # slot at a time, including across binades and for steps off the grid
@@ -223,6 +233,43 @@ class TestAccounting:
             for _ in range(n):
                 expected += step
             assert _add_repeated(total, step, n) == expected
+
+
+class TestReportShape:
+    def test_report_is_a_measured_throughput_report(self):
+        s = case3_scenario(2, 2)
+        report = simulate(SimConfig(scenario=s, horizon_events=30_000,
+                                    seed=4))
+        assert isinstance(report, ThroughputReport)
+        c = report.event_counts
+        assert report.p_trw == (c["wifi-success"] + c["wifi-collision"]
+                                + c["cross-collision"]) / 20_000
+        assert report.p_sl == c["laa-success"] / (c["laa-success"]
+                                                  + c["laa-collision"])
+        d = event_durations(s.effective())
+        assert (report.t_sw_us, report.t_cw_us, report.t_sl_us,
+                report.t_cl_us, report.t_cc_us) == (d.t_sw, d.t_cw, d.t_sl,
+                                                    d.t_cl, d.t_cc)
+        assert report.per_user_laa_mbps == report.tput_laa_mbps / 2
+
+
+class TestRawScenario:
+    """Every public entry point resolves a raw comparison-mode scenario
+    itself: the raw and the effective scenario give the same numbers."""
+
+    RAW = class1_scenario(1, 1, 54.0, 70.2)   # acceptance C6's red point
+
+    def test_engines_agree_on_raw_and_effective(self):
+        eff = self.RAW.effective()
+        assert eff != self.RAW
+        assert eff.effective() is eff
+        sol = solve_coexistence(self.RAW)
+        assert sol == solve_coexistence(eff)
+        assert (coexistence_throughput(self.RAW, sol)
+                == coexistence_throughput(eff, sol))
+        run = dict(horizon_events=20_000, seed=7, warmup_events=1_000)
+        assert (simulate(SimConfig(scenario=self.RAW, **run))
+                == simulate(SimConfig(scenario=eff, **run)))
 
 
 class TestAgainstAnalyticModel:
@@ -238,8 +285,8 @@ class TestAgainstAnalyticModel:
         report = simulate(SimConfig(scenario=s, horizon_events=200_000,
                                     seed=31))
         for measured, expected, err in [
-                (report.measured_tau_w, sol.tau_w, report.stderr["tau_w"]),
-                (report.measured_tau_l, sol.tau_l, report.stderr["tau_l"])]:
+                (report.tau_w, sol.tau_w, report.stderr["tau_w"]),
+                (report.tau_l, sol.tau_l, report.stderr["tau_l"])]:
             assert abs(measured - expected) <= max(3 * err, 0.002)
 
     def test_event_frequencies_match_expected_weights(self):
@@ -279,7 +326,7 @@ class TestDetection:
                      p_dw=0.0)
         report = simulate(SimConfig(
             scenario=s, horizon_events=60_000, seed=21))
-        assert report.measured_p_w == 0.0
+        assert report.p_w == 0.0
         # overlaps still happen and still cost airtime
         assert report.event_counts["cross-collision"] > 0
 
@@ -291,7 +338,7 @@ class TestDetection:
                                        data_rate_mbps=8.4),
                          p_dw=p_dw)
             return simulate(SimConfig(
-                scenario=s, horizon_events=80_000, seed=3)).measured_p_w
+                scenario=s, horizon_events=80_000, seed=3)).p_w
 
         blind, half, sharp = p_w_at(0.0), p_w_at(0.5), p_w_at(1.0)
         assert blind == 0.0

@@ -4,8 +4,13 @@ from hypothesis import strategies as st
 
 from laacoex.core import LaaParams, Scenario, WifiParams
 from laacoex.markov import laa_tau, wifi_tau
-from laacoex.solver import (ConvergenceError, SolverConfig,
-                            solve_coexistence, solve_wifi_only)
+from laacoex.solver import ConvergenceError, SolverConfig, solve_coexistence
+
+
+def solve_wifi_only(n, w0, m):
+    """The single-technology fixed point: coexistence with no LAA nodes."""
+    return solve_coexistence(Scenario(n_wifi=n, n_laa=0,
+                                      wifi=WifiParams(w0=w0, m=m)))
 
 
 def bisect_wifi_only(n, w0, m, tol=1e-12):
