@@ -271,6 +271,8 @@ def _solver_config(args) -> SolverConfig:
 # ---------------------------------------------------------------------------
 
 def _cmd_run(args) -> int:
+    if args.trace is not None and args.engine == "analytic":
+        raise ValueError("--trace needs --engine simulate or both")
     data = _load_input(args.scenario)
     if "axis" in data:
         raise ValueError(

@@ -8,15 +8,17 @@ event classes carry the analytical event durations. The loop is event-driven:
 each station holds the absolute index of the event at which it next transmits
 (its counter at event k is that index minus k), so the run jumps from one
 transmission to the next, books the idle slots between per batch and touches
-only the transmitters. A lone transmitter always succeeds and draws no
-detection coin, so it takes a short path; collisions take the general one.
-The warmup is batch 0, summed like the others and dropped at the end. A
-batch's sums stay in locals until it closes; its event count is its length,
-and its idle count the events minus its transmissions. One seeded PCG64
-stream feeds every draw in a fixed order, so a configuration is
-bit-reproducible: initial counters Wi-Fi then LAA; per event the Wi-Fi
-transmitters by index, then the LAA ones, each drawing its detection coin
-(when one is needed) before its new counter.
+only the transmitters. A binary heap keyed by (index, station) orders them,
+so each transmitter costs O(log n) rather than a scan of all n stations, and
+stations that share an event leave it by station number, which is the draw
+order below. A lone transmitter always succeeds and draws no detection coin,
+so it takes a short path; collisions take the general one. The warmup is
+batch 0, summed like the others and dropped at the end. A batch's sums stay
+in locals until it closes; its event count is its length, and its idle count
+the events minus its transmissions. One seeded PCG64 stream feeds every draw
+in a fixed order, so a configuration is bit-reproducible: initial counters
+Wi-Fi then LAA; per event the Wi-Fi transmitters by index, then the LAA ones,
+each drawing its detection coin (when one is needed) before its new counter.
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
+from heapq import heapify, heappop, heappush, heapreplace
 from itertools import chain, repeat
 
 import numpy as np
@@ -137,6 +140,15 @@ def simulate(cfg: SimConfig) -> SimReport:
         fire.append(backoff)
 
     horizon, warmup = cfg.horizon_events, cfg.warmup_events
+    # Heap of (fire << shift) | station: the least key is the next
+    # transmitter, and at a tie the lower station, so stations that share an
+    # event come off in draw order. Two sentinels at the horizon keep
+    # heap[1] and heap[2] defined; the run ends before either is popped.
+    shift = (n_w + n_l).bit_length()
+    low = (1 << shift) - 1      # the station field of a key
+    heap = [at << shift | i for i, at in enumerate(fire)]
+    heap += [horizon << shift | low] * 2
+    heapify(heap)
     n_batches = min(_BATCHES, horizon - warmup)
     batch_size = (horizon - warmup) // n_batches
     # Batch k ends before event ends[k]: batch 0 is the warmup, the last ends
@@ -154,7 +166,8 @@ def simulate(cfg: SimConfig) -> SimReport:
     trace = _TraceWriter(cfg.trace_path, n_w, n_l) if cfg.trace_path else None
     idx = 0             # first event not yet booked
     while True:
-        t = min(fire)
+        key = heap[0]
+        t = key >> shift
         if trace:
             for at in range(idx, min(t, horizon)):
                 trace.row(at, "idle", slot, stage, fire)
@@ -173,9 +186,9 @@ def simulate(cfg: SimConfig) -> SimReport:
         if idx < t:             # idle slots until the next transmission
             time_us = _add_repeated(time_us, slot, t - idx)
 
-        i = fire.index(t)
-        n_tx = fire.count(t)
-        if n_tx == 1:   # a lone transmitter succeeds; no coin without a rival
+        last = key | low        # the largest key that fires at t
+        if heap[1] > last and heap[2] > last:   # lone: no rival, no coin
+            i = key & low
             if trace:
                 trace.row(t, *success[i >= n_w], stage, fire)
             if i < n_w:
@@ -191,13 +204,14 @@ def simulate(cfg: SimConfig) -> SimReport:
             backoff = draw() & mask
             while backoff >= width:
                 backoff = draw() & mask
-            fire[i] = t + 1 + backoff
+            fire[i] = at = t + 1 + backoff
+            heapreplace(heap, at << shift | i)
         else:
-            transmitters = [i]
-            for _ in range(n_tx - 1):
-                transmitters.append(fire.index(t, transmitters[-1] + 1))
+            transmitters = []
+            while heap[0] <= last:
+                transmitters.append(heappop(heap) & low)
             n_wt = bisect_left(transmitters, n_w)
-            n_lt = n_tx - n_wt
+            n_lt = len(transmitters) - n_wt
             kind = 2 if n_wt and n_lt else n_wt == 0
             cls, dur = collision[kind]
             n_coll[kind] += 1
@@ -210,8 +224,10 @@ def simulate(cfg: SimConfig) -> SimReport:
             n_net = (n_wt, n_lt)
             for i in transmitters:
                 net = i >= n_w
-                # a network's lone station succeeds unless it senses the other
-                if n_net[net] == 1 and not _detects(draw, p_d[net]):
+                # a network's lone station succeeds unless it senses the
+                # other; a p_d of 0 or 1 is certain and draws no coin
+                if n_net[net] == 1 and (p_d[net] == 0.0 or p_d[net] < 1.0
+                                        and draw() >= p_d[net] * 2.0 ** 64):
                     stage[i] = 0
                 else:
                     col[net] += 1
@@ -220,7 +236,8 @@ def simulate(cfg: SimConfig) -> SimReport:
                 backoff = draw() & mask
                 while backoff >= width:
                     backoff = draw() & mask
-                fire[i] = t + 1 + backoff
+                fire[i] = at = t + 1 + backoff
+                heappush(heap, at << shift | i)
         idx = t + 1
 
     if trace:
@@ -248,12 +265,6 @@ def _add_repeated(total: float, step: float, n: int) -> float:
     for _ in range(n):
         total += step
     return total
-
-
-def _detects(draw, p_d: float) -> bool:
-    # Draw only when the outcome is uncertain, so perfect-detection runs
-    # consume the exact same random stream as the plain protocol.
-    return p_d >= 1.0 or (p_d > 0.0 and draw() < p_d * 2.0 ** 64)
 
 
 def _report(n_w, n_l, d, counts, b_events, b_time, b_bits_w, b_bits_l,

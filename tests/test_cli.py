@@ -469,6 +469,15 @@ class TestPresets:
         assert lines[0].startswith("event_index,event_class,duration_us")
         assert len(lines) == 12001
 
+    def test_trace_needs_the_simulator(self, tmp_path, capsys):
+        trace = tmp_path / "events.csv"
+        code, out, err = run_cli(capsys, "run", "table4_case3",
+                                 "--trace", str(trace))
+        assert code == 2
+        assert out == ""
+        assert "--trace" in err and "--engine simulate or both" in err
+        assert not trace.exists()
+
     def test_node_split_extremes(self, tmp_path, capsys):
         # all-LAA and all-Wi-Fi splits are legal sweep points
         spec = tmp_path / "edges.yaml"

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,8 +51,10 @@ def class1_scenario(n_wifi, n_laa, r_w=9.0, r_l=7.8):
 class TestReferenceStream:
     """Pin the random stream and the float accumulation, bit for bit.
 
-    The literals were captured from the original per-slot engine: event
-    counts in EVENT_CLASSES order, then ``float.hex`` of the six measured
+    The first eleven literals were captured from the original per-slot
+    engine, the last five (the edges of the event loop's heap) from the
+    list-scan event loop that preceded the heap: event counts in
+    EVENT_CLASSES order, then ``float.hex`` of the six measured
     quantities and of the six standard errors (keys sorted). Any change to
     the draw order, mask-and-reject, the detection coin, the warmup and
     batch split, or the order in which times are summed shows up here.
@@ -107,6 +110,30 @@ class TestReferenceStream:
                               wifi=WifiParams(w0=32, slot_us=9.1),
                               laa=LaaParams(w0=32)),
             horizon_events=30_000, seed=20, warmup_events=3_000)),
+        # one station: only the two sentinels sit behind its heap key
+        "lone-station": (simulate, SimConfig(
+            scenario=Scenario(n_wifi=1, n_laa=0), horizon_events=30_000,
+            seed=21, warmup_events=3_000)),
+        # windows of one slot: every event is a cross collision of all five
+        "all-tie": (simulate, SimConfig(
+            scenario=Scenario(n_wifi=3, n_laa=2, wifi=WifiParams(w0=1, m=0),
+                              laa=LaaParams(w0=1, m=0), p_dw=0.5, p_dl=0.5),
+            horizon_events=20_000, seed=22, warmup_events=300)),
+        # MAX_STATIONS stations: the widest station field of the heap keys
+        "station-cap": (simulate, SimConfig(
+            scenario=Scenario(n_wifi=512, n_laa=512, laa=load_priority_class(4),
+                              p_dw=0.546, p_dl=0.546),
+            horizon_events=3_000, seed=23, warmup_events=300)),
+        # a top window of 2**64 slots: the full-width mask
+        "2^64-window": (simulate, SimConfig(
+            scenario=Scenario(n_wifi=2, n_laa=1, wifi=WifiParams(w0=2, m=63)),
+            horizon_events=30_000, seed=24, warmup_events=3_000)),
+        # Wi-Fi's first counters lie near 2**61, so a heap key exceeds 64
+        # bits (w0's key is above 2**64 at this seed); Wi-Fi never transmits
+        "keys-beyond-64-bits": (simulate, SimConfig(
+            scenario=Scenario(n_wifi=2, n_laa=2,
+                              wifi=WifiParams(w0=2 ** 62, m=2)),
+            horizon_events=30_000, seed=25, warmup_events=3_000)),
     }
 
     EXPECTED = {
@@ -165,6 +192,31 @@ class TestReferenceStream:
             "0x1.dd4285a6a5824p-5", "0x1.05d84176105d8p-4", "0x1.fe5f5e8e3d84ap-5",
             "0x1.931f621c58588p-8", "0x1.91a92d9301483p-8", "0x1.08507abbb1a73p-10",
             "0x1.e2d70e0b35dbep-11", "0x1.55dbd14833038p-5", "0x1.ec46bf7271c6ep-6")),
+        "lone-station": ((23788, 3212, 0, 0, 0, 0), (
+            "0x1.0555e60902110p+3", "0x0.0p+0", "0x1.e745b535c76a2p-4",
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+            "0x1.3632cd1bc7af9p-10", "0x0.0p+0", "0x1.8f1bf7077faa4p-9")),
+        "all-tie": ((0, 0, 0, 0, 0, 19700), (
+            "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0",
+            "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0")),
+        "station-cap": ((23, 38, 35, 135, 134, 2335), (
+            "0x1.d7eb2f179b12ep-6", "0x1.804d13351efefp-4", "0x1.52f684bda12f7p-8",
+            "0x1.570a3d70a3d71p-8", "0x1.ed4f69e8a7d9ap-1", "0x1.ed3fd2b71eb57p-1",
+            "0x1.af36850b58313p-9", "0x1.7b545bb85f3f3p-9", "0x1.e06fc3a18bcb3p-14",
+            "0x1.8fb2e1f1dbd80p-14", "0x1.27c98e1ee3092p-6", "0x1.73c4d8be639dep-8")),
+        "2^64-window": ((9232, 15678, 586, 510, 0, 994), (
+            "0x1.6e32d10742467p+2", "0x1.8340779da05fbp-1", "0x1.50405286dd55fp-2",
+            "0x1.df623a67eac2fp-5", "0x1.da769da769da7p-4", "0x1.421b386282eaap-1",
+            "0x1.9079e492327b9p-7", "0x1.33cc56dd52120p-7", "0x1.3e4b6fe3ddf78p-10",
+            "0x1.285f6a2daa8e4p-9", "0x1.0cd4bf3465c0ep-5", "0x1.b5066f25c1926p-5")),
+        "keys-beyond-64-bits": ((21691, 0, 4991, 0, 318, 0), (
+            "0x0.0p+0", "0x1.986076de15dadp+2", "0x0.0p+0",
+            "0x1.aad180b878c19p-4", "0x0.0p+0", "0x1.cef4da8ec35afp-4",
+            "0x1.5d3bc61ebf1f9p-8", "0x0.0p+0", "0x1.01b23d45cd555p-10",
+            "0x0.0p+0", "0x1.55deb318557b6p-6", "0x0.0p+0")),
     }
 
     @pytest.mark.parametrize("name", sorted(RUNS))
@@ -464,33 +516,47 @@ class TestExactTwoNodeChain:
 
 
 class TestTrace:
-    # sha256 of the 500-event dump below as the original per-slot engine wrote it
-    DUMP_SHA256 = ("d64dfb09c3a952212c614dc5c4027d17"
-                   "ccd72bd2b75b5ee7c66f66649b55abb8")
+    # Per 500-event dump: the scenario, the dump's sha256 (the 1+1 one as
+    # the original per-slot engine wrote it, the 5+5 one as the list-scan
+    # event loop wrote it) and the shortest longest idle run it must hold;
+    # ten stations leave shorter idle runs than two.
+    DUMPS = {
+        "1+1": (case3_scenario(), "d64dfb09c3a952212c614dc5c4027d17"
+                                  "ccd72bd2b75b5ee7c66f66649b55abb8", 5),
+        "5+5-detection": (
+            replace(case3_scenario(5, 5), p_dw=0.546, p_dl=0.546),
+            "fc40f193a12bdf5719ee593d788aad76e1cb0fce4d6d834f24dadb29aa994e8a",
+            3),
+    }
 
-    def dump(self, tmp_path):
+    def dump(self, tmp_path, name):
         path = tmp_path / "trace.csv"
-        cfg = SimConfig(scenario=case3_scenario(), horizon_events=500,
+        cfg = SimConfig(scenario=self.DUMPS[name][0], horizon_events=500,
                         seed=2, warmup_events=0, trace_path=str(path))
         report = simulate(cfg)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         return report, rows, path.read_bytes()
 
-    def test_per_event_dump(self, tmp_path):
-        report, rows, raw = self.dump(tmp_path)
-        assert hashlib.sha256(raw).hexdigest() == self.DUMP_SHA256
+    @pytest.mark.parametrize("name", sorted(DUMPS))
+    def test_per_event_dump(self, tmp_path, name):
+        report, rows, raw = self.dump(tmp_path, name)
+        assert hashlib.sha256(raw).hexdigest() == self.DUMPS[name][1]
         header, body = rows[0], rows[1:]
+        s = self.DUMPS[name][0]
+        nodes = ([f"w{i}" for i in range(s.n_wifi)]
+                 + [f"l{i}" for i in range(s.n_laa)])
         assert header[:3] == ["event_index", "event_class", "duration_us"]
-        assert header[3:] == ["w0_stage", "w0_counter", "l0_stage",
-                              "l0_counter"]
+        assert header[3:] == [f"{node}_{col}" for node in nodes
+                              for col in ("stage", "counter")]
         assert len(body) == 500
         # the trace and the report must tell the same story
         for cls, count in report.event_counts.items():
             assert sum(1 for row in body if row[1] == cls) == count
 
-    def test_idle_rows_count_down_one_slot_each(self, tmp_path):
-        _, rows, _ = self.dump(tmp_path)
+    @pytest.mark.parametrize("name", sorted(DUMPS))
+    def test_idle_rows_count_down_one_slot_each(self, tmp_path, name):
+        _, rows, _ = self.dump(tmp_path, name)
         body = [[int(row[0]), row[1]] + [int(c) for c in row[3:]]
                 for row in rows[1:]]
         longest = run = 0
@@ -505,7 +571,7 @@ class TestTrace:
                     assert row[3 + 2 * j] == counter - 1
         for row in body:
             assert (row[1] == "idle") == (min(row[3::2]) > 0)
-        assert longest >= 5
+        assert longest >= self.DUMPS[name][2]
 
     def test_trace_does_not_change_statistics(self, tmp_path):
         base = SimConfig(scenario=case3_scenario(), horizon_events=20_000,
