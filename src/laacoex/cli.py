@@ -273,6 +273,8 @@ def _solver_config(args) -> SolverConfig:
 def _cmd_run(args) -> int:
     if args.trace is not None and args.engine == "analytic":
         raise ValueError("--trace needs --engine simulate or both")
+    if args.trace == "":
+        raise ValueError("--trace needs a non-empty file path")
     data = _load_input(args.scenario)
     if "axis" in data:
         raise ValueError(

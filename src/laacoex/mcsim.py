@@ -5,20 +5,24 @@ the two compare number for number: every channel event is one backoff step for
 every station (counters freeze during others' transmissions and a busy period
 is one event), a station transmits when its counter hits zero, and the six
 event classes carry the analytical event durations. The loop is event-driven:
-each station holds the absolute index of the event at which it next transmits
-(its counter at event k is that index minus k), so the run jumps from one
+each station's next transmission is the absolute index of an event (its
+counter at event k is that index minus k), so the run jumps from one
 transmission to the next, books the idle slots between per batch and touches
-only the transmitters. A binary heap keyed by (index, station) orders them,
-so each transmitter costs O(log n) rather than a scan of all n stations, and
-stations that share an event leave it by station number, which is the draw
-order below. A lone transmitter always succeeds and draws no detection coin,
-so it takes a short path; collisions take the general one. The warmup is
-batch 0, summed like the others and dropped at the end. A batch's sums stay
-in locals until it closes; its event count is its length, and its idle count
-the events minus its transmissions. One seeded PCG64 stream feeds every draw
-in a fixed order, so a configuration is bit-reproducible: initial counters
-Wi-Fi then LAA; per event the Wi-Fi transmitters by index, then the LAA ones,
-each drawing its detection coin (when one is needed) before its new counter.
+only the transmitters. A binary heap keyed by (index, station) is the only
+record of those indices, so each transmitter costs O(log n) rather than a scan
+of all n stations, stations that share an event leave it by station number,
+which is the draw order below, and the per-event trace reads its counters off
+the heap. The stations of a network share one table of windows per stage. A
+lone transmitter always succeeds and draws no detection coin, so it takes a
+short path; a collision is handled one network's transmitters at a time, and
+a detection coin compares its draw with the integer ceil(p_d * 2**64). The
+warmup is batch 0, summed like the others and dropped at the end. A batch's
+sums stay in locals until it closes; its event count is its length, and its
+idle count the events minus its transmissions. One seeded PCG64 stream feeds
+every draw in a fixed order, so a configuration is bit-reproducible: initial
+counters Wi-Fi then LAA; per event the Wi-Fi transmitters by index, then the
+LAA ones, each drawing its detection coin (when one is needed) before its new
+counter.
 """
 from __future__ import annotations
 
@@ -72,6 +76,10 @@ class SimConfig:
         if n > MAX_STATIONS:
             raise ValueError(f"n_wifi + n_laa must be <= {MAX_STATIONS} for "
                              f"the simulator, got {n}")
+        path = self.trace_path
+        if path is not None and not (isinstance(path, str) and path):
+            raise ValueError("trace_path must be None or a non-empty file "
+                             f"path, got {path!r}")
 
 
 @dataclass(frozen=True)
@@ -102,52 +110,58 @@ def simulate(cfg: SimConfig) -> SimReport:
     its network's detection probability and a success otherwise, as the
     analytic collision probabilities weight the cross-network term. Event
     class, duration and payload (none for a cross event) do not change. A
-    detection probability of 1 draws no coin.
+    detection probability of 0 or 1 draws no coin.
     """
     s = cfg.scenario.effective()
     n_w, n_l = s.n_wifi, s.n_laa
-    p_d = (s.p_dw, s.p_dl)
 
     d = event_durations(s)
-    t_sw, t_sl = d.t_sw, d.t_sl
-    success = (("wifi-success", t_sw), ("laa-success", t_sl))
-    # Collision kinds, indexed as n_coll below: Wi-Fi, LAA, cross.
-    collision = (("wifi-collision", d.t_cw), ("laa-collision", d.t_cl),
-                 ("cross-collision", d.t_cc))
+    t_sw, t_sl, t_cw, t_cl, t_cc = d.t_sw, d.t_sl, d.t_cw, d.t_cl, d.t_cc
+    success = (("wifi-success", t_sw), ("laa-success", t_sl))   # trace only
     psize, _, _ = derived_durations(s.wifi)
     bit_w = psize * s.wifi.data_rate_mbps
     bit_l = s.laa.pdcch_fraction * s.laa.txop_us * s.laa.data_rate_mbps
     slot = s.wifi.slot_us
 
-    # Per chain, the window of each stage up to the last stay at the top
-    # window, after which the stage resets.
-    win_w, win_l = ([2 ** min(j, m) * w0 for j in range(m + extra + 1)]
-                    for w0, m, extra in s.chains())
-    # Per station, Wi-Fi first: the top stage and, per stage, the window with
-    # the bit mask of its mask-and-reject draw (no modulo bias).
-    top = [len(win_w) - 1] * n_w + [len(win_l) - 1] * n_l
-    windows = [[(w, (1 << (w - 1).bit_length()) - 1) for w in win]
-               for win in [win_w] * n_w + [win_l] * n_l]
-    first = [wins[0] for wins in windows]
-
-    draw = _draws(cfg.seed).__next__
-    stage = [0] * (n_w + n_l)
-    fire = []           # absolute index of each station's next transmission
-    for width, mask in first:
-        backoff = draw() & mask
-        while backoff >= width:
-            backoff = draw() & mask
-        fire.append(backoff)
+    # Per network, indexed by stage j: the stage a collision at j moves to
+    # (the next one, or 0 after the last stay at the top window) with its
+    # window and the bit mask of its mask-and-reject draw (no modulo bias).
+    # The top's entry leads to stage 0, so it holds the stage-0 window.
+    tab_w, tab_l = [], []
+    for tab, (w0, m, extra) in zip((tab_w, tab_l), s.chains()):
+        top = m + extra
+        for j in range(top + 1):
+            after = 0 if j == top else j + 1
+            width = 2 ** min(after, m) * w0
+            tab.append((width, (1 << (width - 1).bit_length()) - 1, after))
+    (width_w, mask_w, _), (width_l, mask_l, _) = tab_w[-1], tab_l[-1]
+    # An undetected lone station resets as after a success.
+    reset_w, reset_l = [tab_w[-1]] * len(tab_w), [tab_l[-1]] * len(tab_l)
+    # A network's lone station in a cross collision goes undetected (its
+    # chain records a success) for certain at p_d = 0, never at 1, else when
+    # its draw is >= ceil(p_d * 2**64): an int compares with a float exactly,
+    # so it splits the draws as the float p_d * 2**64 does.
+    miss_w, miss_l = s.p_dw == 0.0, s.p_dl == 0.0
+    coin_w, coin_l = (math.ceil(p * 2.0 ** 64) if 0.0 < p < 1.0 else 0
+                      for p in (s.p_dw, s.p_dl))
 
     horizon, warmup = cfg.horizon_events, cfg.warmup_events
-    # Heap of (fire << shift) | station: the least key is the next
+    # Heap of (fire << shift) | station, fire being the absolute index of
+    # the station's next transmission: the least key is the next
     # transmitter, and at a tie the lower station, so stations that share an
     # event come off in draw order. Two sentinels at the horizon keep
     # heap[1] and heap[2] defined; the run ends before either is popped.
     shift = (n_w + n_l).bit_length()
     low = (1 << shift) - 1      # the station field of a key
-    heap = [at << shift | i for i, at in enumerate(fire)]
-    heap += [horizon << shift | low] * 2
+    draw = _draws(cfg.seed).__next__
+    stage = [0] * (n_w + n_l)
+    heap = [horizon << shift | low] * 2
+    for i in range(n_w + n_l):
+        width, mask = (width_w, mask_w) if i < n_w else (width_l, mask_l)
+        backoff = draw() & mask
+        while backoff >= width:
+            backoff = draw() & mask
+        heap.append(backoff << shift | i)
     heapify(heap)
     n_batches = min(_BATCHES, horizon - warmup)
     batch_size = (horizon - warmup) // n_batches
@@ -157,88 +171,117 @@ def simulate(cfg: SimConfig) -> SimReport:
                     + [horizon, math.inf]).__next__
     b_end = next_end()
     batches = []
-    # Sums of the open batch: time, bits, successes and attempts in collision
-    # events per network, chain collisions per network, events per kind.
-    time_us = bits_w = bits_l = 0.0
-    n_sw = n_sl = att_w = att_l = 0
-    col, n_coll = [0, 0], [0, 0, 0]
+    # Sums of the open batch: time, successes and attempts in collision
+    # events per network, chain collisions per network, collision events
+    # per kind. Payload bits are summed when the batch closes.
+    time_us = 0.0
+    n_sw = n_sl = att_w = att_l = col_w = col_l = n_cw = n_cl = n_cc = 0
 
     trace = _TraceWriter(cfg.trace_path, n_w, n_l) if cfg.trace_path else None
+    ulp = math.ulp
     idx = 0             # first event not yet booked
     while True:
         key = heap[0]
         t = key >> shift
         if trace:
+            # each station's next transmission, off the heap before any
+            # pop; the sentinels land past the last station
+            fire = [0] * (low + 1)
+            for k in heap:
+                fire[k & low] = k >> shift
             for at in range(idx, min(t, horizon)):
                 trace.row(at, "idle", slot, stage, fire)
-        while b_end <= t:       # close every batch that ends by this event
-            if idx < b_end:     # idle runs may straddle batches
-                time_us = _add_repeated(time_us, slot, b_end - idx)
-                idx = b_end
-            batches.append((time_us, bits_w, bits_l, n_sw + att_w,
-                            n_sl + att_l, *col, n_sw, n_sl, *n_coll))
-            time_us = bits_w = bits_l = 0.0
-            n_sw = n_sl = att_w = att_l = 0
-            col, n_coll = [0, 0], [0, 0, 0]
-            b_end = next_end()
-        if t >= horizon:
-            break
+        if t >= b_end:          # b_end <= horizon until the last batch closes
+            while b_end <= t:   # close every batch that ends by this event
+                if idx < b_end:     # idle runs may straddle batches
+                    time_us = _add_repeated(time_us, slot, b_end - idx)
+                    idx = b_end
+                batches.append((time_us, _add_repeated(0.0, bit_w, n_sw),
+                                _add_repeated(0.0, bit_l, n_sl), n_sw + att_w,
+                                n_sl + att_l, col_w, col_l, n_sw, n_sl, n_cw,
+                                n_cl, n_cc))
+                time_us = 0.0
+                n_sw = n_sl = att_w = att_l = col_w = col_l = 0
+                n_cw = n_cl = n_cc = 0
+                b_end = next_end()
+            if t >= horizon:
+                break
         if idx < t:             # idle slots until the next transmission
-            time_us = _add_repeated(time_us, slot, t - idx)
+            # _add_repeated's multiply-add, inline; it replays the rest
+            end = time_us + (t - idx) * slot
+            grid = ulp(end)
+            if time_us % grid or slot % grid:
+                time_us = _add_repeated(time_us, slot, t - idx)
+            else:
+                time_us = end
+        idx = t + 1             # also where every new counter starts
 
         last = key | low        # the largest key that fires at t
         if heap[1] > last and heap[2] > last:   # lone: no rival, no coin
             i = key & low
             if trace:
                 trace.row(t, *success[i >= n_w], stage, fire)
+            stage[i] = 0
             if i < n_w:
                 time_us += t_sw
-                bits_w += bit_w
                 n_sw += 1
+                width, mask = width_w, mask_w
             else:
                 time_us += t_sl
-                bits_l += bit_l
                 n_sl += 1
-            stage[i] = 0
-            width, mask = first[i]
+                width, mask = width_l, mask_l
             backoff = draw() & mask
             while backoff >= width:
                 backoff = draw() & mask
-            fire[i] = at = t + 1 + backoff
-            heapreplace(heap, at << shift | i)
+            heapreplace(heap, (idx + backoff) << shift | i)
         else:
             transmitters = []
             while heap[0] <= last:
                 transmitters.append(heappop(heap) & low)
             n_wt = bisect_left(transmitters, n_w)
             n_lt = len(transmitters) - n_wt
-            kind = 2 if n_wt and n_lt else n_wt == 0
-            cls, dur = collision[kind]
-            n_coll[kind] += 1
+            if not n_lt:
+                n_cw += 1
+                cls, dur = "wifi-collision", t_cw
+            elif not n_wt:
+                n_cl += 1
+                cls, dur = "laa-collision", t_cl
+            else:
+                n_cc += 1
+                cls, dur = "cross-collision", t_cc
             if trace:
                 trace.row(t, cls, dur, stage, fire)
             time_us += dur
             att_w += n_wt
             att_l += n_lt
 
-            n_net = (n_wt, n_lt)
-            for i in transmitters:
-                net = i >= n_w
-                # a network's lone station succeeds unless it senses the
-                # other; a p_d of 0 or 1 is certain and draws no coin
-                if n_net[net] == 1 and (p_d[net] == 0.0 or p_d[net] < 1.0
-                                        and draw() >= p_d[net] * 2.0 ** 64):
-                    stage[i] = 0
+            # The Wi-Fi slice, then the LAA one. A network's station is lone,
+            # and so may go undetected, only as its network's one
+            # transmitter, which in a collision means a cross one.
+            if n_wt:
+                tab = tab_w
+                if n_wt == 1 and (miss_w or coin_w and draw() >= coin_w):
+                    tab = reset_w
                 else:
-                    col[net] += 1
-                    stage[i] = 0 if stage[i] == top[i] else stage[i] + 1
-                width, mask = windows[i][stage[i]]
-                backoff = draw() & mask
-                while backoff >= width:
+                    col_w += n_wt
+                for i in transmitters[:n_wt]:
+                    width, mask, stage[i] = tab[stage[i]]
                     backoff = draw() & mask
-                fire[i] = at = t + 1 + backoff
-                heappush(heap, at << shift | i)
-        idx = t + 1
+                    while backoff >= width:
+                        backoff = draw() & mask
+                    heappush(heap, (idx + backoff) << shift | i)
+            if n_lt:
+                tab = tab_l
+                if n_lt == 1 and (miss_l or coin_l and draw() >= coin_l):
+                    tab = reset_l
+                else:
+                    col_l += n_lt
+                for i in transmitters[n_wt:]:
+                    width, mask, stage[i] = tab[stage[i]]
+                    backoff = draw() & mask
+                    while backoff >= width:
+                        backoff = draw() & mask
+                    heappush(heap, (idx + backoff) << shift | i)
 
     if trace:
         trace.close()

@@ -478,6 +478,14 @@ class TestPresets:
         assert "--trace" in err and "--engine simulate or both" in err
         assert not trace.exists()
 
+    def test_trace_needs_a_path(self, capsys):
+        code, out, err = run_cli(capsys, "run", "table4_case3",
+                                 "--engine", "simulate", "--horizon", "2000",
+                                 "--warmup", "100", "--trace", "")
+        assert code == 2
+        assert out == ""
+        assert "--trace" in err
+
     def test_node_split_extremes(self, tmp_path, capsys):
         # all-LAA and all-Wi-Fi splits are legal sweep points
         spec = tmp_path / "edges.yaml"

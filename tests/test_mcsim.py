@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laacoex.core import (LaaParams, Scenario, ThroughputReport, WifiParams,
                           load_priority_class)
@@ -52,8 +54,10 @@ class TestReferenceStream:
     """Pin the random stream and the float accumulation, bit for bit.
 
     The first eleven literals were captured from the original per-slot
-    engine, the last five (the edges of the event loop's heap) from the
-    list-scan event loop that preceded the heap: event counts in
+    engine, the next five (the edges of the event loop's heap) from the
+    list-scan event loop that preceded the heap, and the last one (the
+    per-network detection split) from the heap loop with per-station
+    tables that preceded the per-network ones: event counts in
     EVENT_CLASSES order, then ``float.hex`` of the six measured
     quantities and of the six standard errors (keys sorted). Any change to
     the draw order, mask-and-reject, the detection coin, the warmup and
@@ -134,6 +138,12 @@ class TestReferenceStream:
             scenario=Scenario(n_wifi=2, n_laa=2,
                               wifi=WifiParams(w0=2 ** 62, m=2)),
             horizon_events=30_000, seed=25, warmup_events=3_000)),
+        # a Wi-Fi p_d of 0 (certain, no coin) beside an LAA coin, with a
+        # different stage-0 window on each network
+        "blind-wifi": (simulate, SimConfig(
+            scenario=Scenario(n_wifi=3, n_laa=3, wifi=WifiParams(w0=8, m=3),
+                              laa=LaaParams(w0=16, m=2), p_dw=0.0, p_dl=0.3),
+            horizon_events=30_000, seed=26, warmup_events=3_000)),
     }
 
     EXPECTED = {
@@ -217,6 +227,11 @@ class TestReferenceStream:
             "0x1.aad180b878c19p-4", "0x0.0p+0", "0x1.cef4da8ec35afp-4",
             "0x1.5d3bc61ebf1f9p-8", "0x0.0p+0", "0x1.01b23d45cd555p-10",
             "0x0.0p+0", "0x1.55deb318557b6p-6", "0x0.0p+0")),
+        "blind-wifi": ((12588, 6698, 3631, 1343, 369, 2371), (
+            "0x1.9264b1d01161bp+0", "0x1.81ba86976656ep+1", "0x1.3593a20b7a9a1p-3",
+            "0x1.61b8f3bcbea41p-4", "0x1.2a51755639b4ep-2", "0x1.0e3c884a12cfap-2",
+            "0x1.9534cd7af2caap-8", "0x1.f00b6ec46e05ep-9", "0x1.c0aa4febf8d45p-11",
+            "0x1.50cffe58f9aedp-10", "0x1.3d4f491b60354p-5", "0x1.bc32d1a44b875p-6")),
     }
 
     @pytest.mark.parametrize("name", sorted(RUNS))
@@ -264,6 +279,12 @@ class TestAccounting:
     def test_counts_and_seed_must_be_integers(self, field, value):
         with pytest.raises(ValueError, match=field):
             SimConfig(scenario=case3_scenario(), **{field: value})
+
+    # 1 would be taken by open() as file descriptor 1 and closed after the run
+    @pytest.mark.parametrize("path", ["", 1, b"trace.csv"])
+    def test_trace_path_must_be_a_non_empty_string(self, path):
+        with pytest.raises(ValueError, match="trace_path"):
+            SimConfig(scenario=case3_scenario(), trace_path=path)
 
     # only counts above the cap: they are refused before any list is built
     @pytest.mark.parametrize("n_wifi, n_laa", [
@@ -412,6 +433,36 @@ class TestDetection:
         assert curve[2] > curve[0]
 
 
+class TestCoinThreshold:
+    """A lone station detects the other network when its 64-bit draw lies
+    below p * 2**64. The simulator compares the draw with the integer
+    ceil(p * 2**64) instead of that float; Python compares an int with a
+    float exactly, so both bounds split every draw the same way."""
+
+    @staticmethod
+    def assert_same_split(p, x):
+        bound = p * 2.0 ** 64
+        assert (x >= bound) == (x >= math.ceil(bound))
+
+    @settings(max_examples=500, deadline=None)
+    @given(p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           x=st.integers(0, 2 ** 64 - 1))
+    def test_integer_bound_splits_draws_like_the_float(self, p, x):
+        ceil = math.ceil(p * 2.0 ** 64)
+        for draw in (x, ceil - 1, ceil):
+            if 0 <= draw < 2 ** 64:
+                self.assert_same_split(p, draw)
+
+    @pytest.mark.parametrize("p", [
+        5e-324, 2.2250738585072014e-308, 2.0 ** -64, 0.3, 0.546,
+        math.nextafter(1.0, 0.0)])
+    def test_draws_either_side_of_the_integer_bound(self, p):
+        ceil = math.ceil(p * 2.0 ** 64)
+        assert 0 < ceil < 2 ** 64
+        for draw in (ceil - 1, ceil):
+            self.assert_same_split(p, draw)
+
+
 class TestExactTwoNodeChain:
     """Pin the simulator against the exactly solvable 1+1 joint chain.
 
@@ -518,8 +569,11 @@ class TestExactTwoNodeChain:
 class TestTrace:
     # Per 500-event dump: the scenario, the dump's sha256 (the 1+1 one as
     # the original per-slot engine wrote it, the 5+5 one as the list-scan
-    # event loop wrote it) and the shortest longest idle run it must hold;
-    # ten stations leave shorter idle runs than two.
+    # event loop wrote it, the 2+2 one as the heap loop with per-station
+    # tables wrote it) and the shortest longest idle run it must hold;
+    # ten stations leave shorter idle runs than two. The 2+2 dump holds
+    # Wi-Fi's extra stay at its top window and LAA resets after its top
+    # stage.
     DUMPS = {
         "1+1": (case3_scenario(), "d64dfb09c3a952212c614dc5c4027d17"
                                   "ccd72bd2b75b5ee7c66f66649b55abb8", 5),
@@ -527,6 +581,10 @@ class TestTrace:
             replace(case3_scenario(5, 5), p_dw=0.546, p_dl=0.546),
             "fc40f193a12bdf5719ee593d788aad76e1cb0fce4d6d834f24dadb29aa994e8a",
             3),
+        "2+2-non-comparison": (
+            TestReferenceStream.RUNS["non-comparison"][1].scenario,
+            "52da43a8d3e0a2e66211f0cb54a86a165ec71cd6b1467e0581e69181f7c35b21",
+            5),
     }
 
     def dump(self, tmp_path, name):
@@ -573,9 +631,14 @@ class TestTrace:
             assert (row[1] == "idle") == (min(row[3::2]) > 0)
         assert longest >= self.DUMPS[name][2]
 
-    def test_trace_does_not_change_statistics(self, tmp_path):
-        base = SimConfig(scenario=case3_scenario(), horizon_events=20_000,
-                         seed=6)
-        traced = SimConfig(scenario=case3_scenario(), horizon_events=20_000,
-                           seed=6, trace_path=str(tmp_path / "t.csv"))
+    # the trace rebuilds each station's next event from the heap, so check
+    # it against the untraced run on every detection and chain branch
+    @pytest.mark.parametrize("scenario", [
+        case3_scenario(), DUMPS["5+5-detection"][0],
+        DUMPS["2+2-non-comparison"][0],
+        TestReferenceStream.RUNS["blind-wifi"][1].scenario],
+        ids=["1+1", "detection", "non-comparison", "blind-wifi"])
+    def test_trace_does_not_change_statistics(self, tmp_path, scenario):
+        base = SimConfig(scenario=scenario, horizon_events=20_000, seed=6)
+        traced = replace(base, trace_path=str(tmp_path / "t.csv"))
         assert simulate(base) == simulate(traced)
