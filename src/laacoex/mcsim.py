@@ -7,22 +7,24 @@ is one event), a station transmits when its counter hits zero, and the six
 event classes carry the analytical event durations. The loop is event-driven:
 each station's next transmission is the absolute index of an event (its
 counter at event k is that index minus k), so the run jumps from one
-transmission to the next, books the idle slots between per batch and touches
-only the transmitters. A binary heap keyed by (index, station) is the only
-record of those indices, so each transmitter costs O(log n) rather than a scan
-of all n stations, stations that share an event leave it by station number,
-which is the draw order below, and the per-event trace reads its counters off
-the heap. The stations of a network share one table of windows per stage. A
-lone transmitter always succeeds and draws no detection coin, so it takes a
-short path; a collision is handled one network's transmitters at a time, and
-a detection coin compares its draw with the integer ceil(p_d * 2**64). The
-warmup is batch 0, summed like the others and dropped at the end. A batch's
-sums stay in locals until it closes; its event count is its length, and its
-idle count the events minus its transmissions. One seeded PCG64 stream feeds
-every draw in a fixed order, so a configuration is bit-reproducible: initial
-counters Wi-Fi then LAA; per event the Wi-Fi transmitters by index, then the
-LAA ones, each drawing its detection coin (when one is needed) before its new
-counter.
+transmission to the next and touches only the transmitters. A binary heap
+keyed by (index, station) is the only record of those indices, so each
+transmitter costs O(log n) rather than a scan of all n stations, stations
+that share an event leave it by station number, which is the draw order
+below, and the per-event trace reads its counters off the heap. The stations
+of a network share one table of windows per stage. A lone transmitter always
+succeeds and draws no detection coin, so it takes a short path; a collision
+is handled one network's transmitters at a time, and a detection coin
+compares its draw with the integer ceil(p_d * 2**64). The loop only counts:
+a batch closes with its event count and its per-class and per-network
+counts, idle being its events minus its busy ones. Time and payload bits are
+formed from the counts when the run ends, each batch's time as the exact sum
+of count times duration over the six classes, rounded once. The warmup is
+batch 0, counted like the others and dropped at the end. One seeded PCG64
+stream feeds every draw in a fixed order, so a configuration is
+bit-reproducible: initial counters Wi-Fi then LAA; per event the Wi-Fi
+transmitters by index, then the LAA ones, each drawing its detection coin
+(when one is needed) before its new counter.
 """
 from __future__ import annotations
 
@@ -87,8 +89,11 @@ class SimReport(ThroughputReport):
     """A ThroughputReport measured over the counted events, plus what only
     the simulator has. ``p_trw`` is the share of events with a Wi-Fi
     transmission, ``p_sw`` successes over successes plus Wi-Fi collisions
-    (0.0 without either), LAA alike. The durations are the analytic ones;
-    ``t_e_us``, which the throughputs divide by, is time per event."""
+    (0.0 without either), LAA alike. The durations are the analytic ones.
+    The counted events' time is the exact sum of count times duration over
+    ``event_counts``, rounded once; ``t_e_us`` is that time per event, and
+    a throughput is its network's successes times bits per success, rounded
+    once, over that time."""
 
     tau_w: float      # attempts per Wi-Fi station per event
     tau_l: float
@@ -116,11 +121,9 @@ def simulate(cfg: SimConfig) -> SimReport:
     n_w, n_l = s.n_wifi, s.n_laa
 
     d = event_durations(s)
-    t_sw, t_sl, t_cw, t_cl, t_cc = d.t_sw, d.t_sl, d.t_cw, d.t_cl, d.t_cc
-    success = (("wifi-success", t_sw), ("laa-success", t_sl))   # trace only
-    psize, _, _ = derived_durations(s.wifi)
-    bit_w = psize * s.wifi.data_rate_mbps
-    bit_l = s.laa.pdcch_fraction * s.laa.txop_us * s.laa.data_rate_mbps
+    # durations for the trace; time is formed from the counts at the end
+    success = (("wifi-success", d.t_sw), ("laa-success", d.t_sl))
+    t_cw, t_cl, t_cc = d.t_cw, d.t_cl, d.t_cc
     slot = s.wifi.slot_us
 
     # Per network, indexed by stage j: the stage a collision at j moves to
@@ -169,17 +172,14 @@ def simulate(cfg: SimConfig) -> SimReport:
     # at the horizon, and the sentinel is never reached.
     next_end = iter([warmup + k * batch_size for k in range(n_batches)]
                     + [horizon, math.inf]).__next__
-    b_end = next_end()
+    b_start, b_end = 0, next_end()
     batches = []
-    # Sums of the open batch: time, successes and attempts in collision
-    # events per network, chain collisions per network, collision events
-    # per kind. Payload bits are summed when the batch closes.
-    time_us = 0.0
+    # Counts of the open batch: successes and attempts in collision events
+    # per network, chain collisions per network, collision events per kind
     n_sw = n_sl = att_w = att_l = col_w = col_l = n_cw = n_cl = n_cc = 0
 
     trace = _TraceWriter(cfg.trace_path, n_w, n_l) if cfg.trace_path else None
-    ulp = math.ulp
-    idx = 0             # first event not yet booked
+    idx = 0             # the event after the last transmission
     while True:
         key = heap[0]
         t = key >> shift
@@ -193,27 +193,13 @@ def simulate(cfg: SimConfig) -> SimReport:
                 trace.row(at, "idle", slot, stage, fire)
         if t >= b_end:          # b_end <= horizon until the last batch closes
             while b_end <= t:   # close every batch that ends by this event
-                if idx < b_end:     # idle runs may straddle batches
-                    time_us = _add_repeated(time_us, slot, b_end - idx)
-                    idx = b_end
-                batches.append((time_us, _add_repeated(0.0, bit_w, n_sw),
-                                _add_repeated(0.0, bit_l, n_sl), n_sw + att_w,
-                                n_sl + att_l, col_w, col_l, n_sw, n_sl, n_cw,
-                                n_cl, n_cc))
-                time_us = 0.0
+                batches.append((b_end - b_start, n_sw + att_w, n_sl + att_l,
+                                col_w, col_l, n_sw, n_sl, n_cw, n_cl, n_cc))
                 n_sw = n_sl = att_w = att_l = col_w = col_l = 0
                 n_cw = n_cl = n_cc = 0
-                b_end = next_end()
+                b_start, b_end = b_end, next_end()
             if t >= horizon:
                 break
-        if idx < t:             # idle slots until the next transmission
-            # _add_repeated's multiply-add, inline; it replays the rest
-            end = time_us + (t - idx) * slot
-            grid = ulp(end)
-            if time_us % grid or slot % grid:
-                time_us = _add_repeated(time_us, slot, t - idx)
-            else:
-                time_us = end
         idx = t + 1             # also where every new counter starts
 
         last = key | low        # the largest key that fires at t
@@ -223,11 +209,9 @@ def simulate(cfg: SimConfig) -> SimReport:
                 trace.row(t, *success[i >= n_w], stage, fire)
             stage[i] = 0
             if i < n_w:
-                time_us += t_sw
                 n_sw += 1
                 width, mask = width_w, mask_w
             else:
-                time_us += t_sl
                 n_sl += 1
                 width, mask = width_l, mask_l
             backoff = draw() & mask
@@ -251,7 +235,6 @@ def simulate(cfg: SimConfig) -> SimReport:
                 cls, dur = "cross-collision", t_cc
             if trace:
                 trace.row(t, cls, dur, stage, fire)
-            time_us += dur
             att_w += n_wt
             att_l += n_lt
 
@@ -285,37 +268,51 @@ def simulate(cfg: SimConfig) -> SimReport:
 
     if trace:
         trace.close()
-    columns = list(zip(*batches[1:]))
-    counted = horizon - warmup
-    tx = [sum(column) for column in columns[7:]]
-    counts = dict(zip(EVENT_CLASSES, [counted - sum(tx)] + tx))
-    b_events = [batch_size] * (n_batches - 1)
-    b_events.append(counted - sum(b_events))
-    return _report(n_w, n_l, d, counts, b_events, *columns[:7])
+    return _report(s, d, batches[1:])
 
 
-def _add_repeated(total: float, step: float, n: int) -> float:
-    """``total`` after ``n`` sequential ``total += step``, bit for bit.
+def _exact_dot(weights):
+    """The function of counts that returns ``sum(count * weight)`` over
+    ``weights`` summed exactly and rounded once, inf beyond the float range.
 
-    If ``total`` and ``step`` lie on the grid of the final sum's ulp, so does
-    every partial sum: each addition is exact and one multiply-add gives the
-    same bits. Otherwise some additions round, so they are replayed.
+    A finite float is an integer over a power of two, so over the largest
+    such denominator every weight is an integer: the sum is an integer
+    quotient, which int division rounds correctly.
     """
-    end = total + n * step
-    grid = math.ulp(end)
-    if not (total % grid or step % grid):
-        return end
-    for _ in range(n):
-        total += step
-    return total
+    ratios = [w.as_integer_ratio() for w in weights]
+    den = max(q for _, q in ratios)
+    nums = [p * (den // q) for p, q in ratios]
+
+    def dot(counts) -> float:
+        try:
+            return sum(c * n for c, n in zip(counts, nums)) / den
+        except OverflowError:   # the exact sum lies beyond the largest float
+            return math.inf
+    return dot
 
 
-def _report(n_w, n_l, d, counts, b_events, b_time, b_bits_w, b_bits_l,
-            b_att_w, b_att_l, b_col_w, b_col_l) -> SimReport:
-    total_time = _fsum(b_time)
+def _report(s, d, batches) -> SimReport:
+    """Measure the counted batches: each holds its event count, attempts and
+    chain collisions per network, then its busy events per class."""
+    n_w, n_l = s.n_wifi, s.n_laa
+    # no payload without stations: a tiny unused rate would make it inf,
+    # and zero successes times inf a NaN
+    bit_w = (derived_durations(s.wifi)[0] * s.wifi.data_rate_mbps
+             if n_w else 0.0)
+    bit_l = s.laa.pdcch_fraction * s.laa.txop_us * s.laa.data_rate_mbps
+    time_of = _exact_dot((s.wifi.slot_us, d.t_sw, d.t_sl, d.t_cw, d.t_cl,
+                          d.t_cc))
+    b_events, b_att_w, b_att_l, b_col_w, b_col_l, *busy = zip(*batches)
+    # per batch, events per EVENT_CLASSES class: idle is what is not busy
+    b_counts = [(n - sum(b), *b) for n, *b in zip(b_events, *busy)]
+    b_time = [time_of(c) for c in b_counts]
+    counts = dict(zip(EVENT_CLASSES, map(sum, zip(*b_counts))))
+    total_time = time_of(counts.values())
     events = sum(b_events)
     att_w, att_l = sum(b_att_w), sum(b_att_l)
     col_w, col_l = sum(b_col_w), sum(b_col_l)
+    b_bits_w = [n * bit_w for n in busy[0]]
+    b_bits_l = [n * bit_l for n in busy[1]]
 
     def per_batch(num, den, scale=1.0):
         return [n / (d * scale) if d else 0.0 for n, d in zip(num, den)]
@@ -335,8 +332,8 @@ def _report(n_w, n_l, d, counts, b_events, b_time, b_bits_w, b_bits_l,
                   if len(values) > 1 else 0.0
                   for name, values in batch_metrics.items()}
 
-    tput_w, tput_l = _fsum(b_bits_w) / total_time, _fsum(b_bits_l) / total_time
-    _, n_sw, n_sl, n_cw, n_cl, n_cc = (counts[c] for c in EVENT_CLASSES)
+    _, n_sw, n_sl, n_cw, n_cl, n_cc = counts.values()
+    tput_w, tput_l = n_sw * bit_w / total_time, n_sl * bit_l / total_time
     report = SimReport(
         p_trw=(n_sw + n_cw + n_cc) / events,
         p_sw=n_sw / (n_sw + n_cw) if n_sw + n_cw else 0.0,
@@ -359,14 +356,6 @@ def _report(n_w, n_l, d, counts, b_events, b_time, b_bits_w, b_bits_l,
             raise OverflowError(f"simulated {name} is {value}: a time, rate "
                                 "or size is out of floating-point range")
     return report
-
-
-def _fsum(values) -> float:
-    """``math.fsum`` of non-negative values, inf where the sum overflows."""
-    try:
-        return math.fsum(values)
-    except OverflowError:   # the exact sum lies beyond the largest float
-        return math.inf
 
 
 class _TraceWriter:

@@ -522,6 +522,18 @@ class TestImports:
             "assert 'numpy' not in sys.modules\n"
             "from laacoex import simulate\n"
             "assert 'numpy' in sys.modules and callable(simulate)\n")
+        self.run_fresh(script)
+
+    def test_simulator_sums_time_without_fractions_or_decimal(self):
+        # exact sums use int arithmetic only, so importing the simulator
+        # costs no more than it did
+        self.run_fresh("import sys\n"
+                       "import laacoex.mcsim\n"
+                       "assert 'fractions' not in sys.modules\n"
+                       "assert 'decimal' not in sys.modules\n")
+
+    @staticmethod
+    def run_fresh(script):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-c", script], env=env,

@@ -1,18 +1,19 @@
 import csv
 import hashlib
 import math
-import random
+import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from laacoex.core import (LaaParams, Scenario, ThroughputReport, WifiParams,
-                          load_priority_class)
+                          derived_durations, load_priority_class)
 from laacoex.mcsim import (EVENT_CLASSES, MAX_STATIONS, SimConfig,
-                           _add_repeated, simulate)
+                           _exact_dot, simulate)
 from laacoex.solver import solve_coexistence
 from laacoex.throughput import (coexistence_throughput, event_durations,
                                 event_probabilities)
@@ -51,7 +52,7 @@ def class1_scenario(n_wifi, n_laa, r_w=9.0, r_l=7.8):
 
 
 class TestReferenceStream:
-    """Pin the random stream and the float accumulation, bit for bit.
+    """Pin the random stream and the time and payload sums, bit for bit.
 
     The first eleven literals were captured from the original per-slot
     engine, the next five (the edges of the event loop's heap) from the
@@ -61,8 +62,17 @@ class TestReferenceStream:
     EVENT_CLASSES order, then ``float.hex`` of the six measured
     quantities and of the six standard errors (keys sorted). Any change to
     the draw order, mask-and-reject, the detection coin, the warmup and
-    batch split, or the order in which times are summed shows up here.
-    Never re-seed to make a case pass.
+    batch split, or the way times are summed shows up here. Never re-seed
+    to make a case pass.
+
+    Four hexes per case (``tput_wifi_mbps``, ``tput_laa_mbps`` and their
+    standard errors, positions 0, 1, 10 and 11) were re-captured when the
+    simulator stopped adding times event by event and began to sum each
+    batch's time exactly from its counts, rounded once: sequential sums
+    had carried rounding error of up to 5e-15 relative into them
+    (4e-14 in one standard error). Every count and the other eight hexes
+    are the earlier captures; ``test_throughputs_are_exact_in_the_counts``
+    checks the re-captured throughputs against an exact recomputation.
     """
 
     RUNS = {
@@ -148,65 +158,65 @@ class TestReferenceStream:
 
     EXPECTED = {
         "c6-red-point": ((18443, 8403, 8424, 0, 0, 4730), (
-            "0x1.232f28416139ap+2", "0x1.225a0645b26f3p+5", "0x1.50346dc5d6388p-2",
+            "0x1.232f28416139bp+2", "0x1.225a0645b26f5p+5", "0x1.50346dc5d6388p-2",
             "0x1.50be0ded288cep-2", "0x1.70ce281dc8fdcp-2", "0x1.70376d560f560p-2",
             "0x1.ecb3d7d5b1fd0p-9", "0x1.e41c784be63a8p-9", "0x1.840af4f9d1943p-10",
-            "0x1.bbb5ec79ab975p-10", "0x1.afb955171c44ap-3", "0x1.68f484d563c0ep-5")),
+            "0x1.bbb5ec79ab975p-10", "0x1.afb955171c435p-3", "0x1.68f484d563c0cp-5")),
         "class1-4+2": ((3369, 5528, 2782, 4633, 608, 10080), (
-            "0x1.ed95ff1b8805cp+0", "0x1.b73d6d0af9954p-1", "0x1.2cddca72d6f6dp-2",
+            "0x1.ed95ff1b88054p+0", "0x1.b73d6d0af994fp-1", "0x1.2cddca72d6f6dp-2",
             "0x1.2dd084491f060p-2", "0x1.a6ce13f169f18p-1", "0x1.a6819386c9a27p-1",
             "0x1.66a5e23a62b14p-9", "0x1.f75c2b26fb20ep-10", "0x1.2b780a4500676p-10",
-            "0x1.c02b5a4fb365dp-11", "0x1.b686a4f443016p-7", "0x1.444669c5168bdp-6")),
+            "0x1.c02b5a4fb365dp-11", "0x1.b686a4f44301bp-7", "0x1.444669c5168b6p-6")),
         "class4-20+20-detection": ((8977, 5124, 4964, 1580, 1557, 4798), (
-            "0x1.8979a64138cdep-1", "0x1.5105f9eee68b4p+1", "0x1.bd47dcaef1d89p-6",
+            "0x1.8979a64138ce1p-1", "0x1.5105f9eee68b5p+1", "0x1.bd47dcaef1d89p-6",
             "0x1.b7b2b11951c0dp-6", "0x1.131e3648b44bap-1", "0x1.147dc6334c864p-1",
             "0x1.dfe90bc42f5f8p-9", "0x1.0a5aead424bb1p-8", "0x1.74fd8d5bc9e1dp-12",
-            "0x1.3d534cf39a6a9p-12", "0x1.fdf896d666d9bp-6", "0x1.2892006099dfcp-6")),
+            "0x1.3d534cf39a6a9p-12", "0x1.fdf896d666d88p-6", "0x1.2892006099dfap-6")),
         "mask-and-reject": ((17067, 3884, 4396, 237, 313, 1103), (
-            "0x1.1b1e477ae1088p+0", "0x1.1b501a16f278cp+2", "0x1.a39cc928bb818p-4",
+            "0x1.1b1e477ae1087p+0", "0x1.1b501a16f278bp+2", "0x1.a39cc928bb818p-4",
             "0x1.d76b549327105p-4", "0x1.5c5e0883cb6e2p-3", "0x1.047d62678da7ap-2",
             "0x1.ad93f3450ee78p-8", "0x1.57698fd3cdad2p-8", "0x1.6087754990cbap-10",
-            "0x1.475b0694ec70ep-10", "0x1.5aad30ea837d9p-5", "0x1.79b32a5fec7f6p-6")),
+            "0x1.475b0694ec70ep-10", "0x1.5aad30ea837cbp-5", "0x1.79b32a5fec7f1p-6")),
         "wifi-only": ((20247, 6083, 0, 670, 0, 0), (
-            "0x1.e127dcb213095p+2", "0x0.0p+0", "0x1.7839a5bc7dea0p-4",
+            "0x1.e127dcb21309ep+2", "0x0.0p+0", "0x1.7839a5bc7dea0p-4",
             "0x0.0p+0", "0x1.758a2f58a2f59p-3", "0x0.0p+0",
             "0x0.0p+0", "0x1.35eaddc9c9a19p-8", "0x0.0p+0",
-            "0x1.13d7d63e8a922p-10", "0x0.0p+0", "0x1.8641b90254081p-6")),
+            "0x1.13d7d63e8a922p-10", "0x0.0p+0", "0x1.8641b90254082p-6")),
         "laa-only": ((19986, 0, 6292, 0, 722, 0), (
-            "0x0.0p+0", "0x1.863083a1a9f0bp+2", "0x0.0p+0",
+            "0x0.0p+0", "0x1.863083a1a9f08p+2", "0x0.0p+0",
             "0x1.8841556f395e9p-4", "0x0.0p+0", "0x1.82c9e8b344f13p-3",
             "0x1.67e968047b437p-8", "0x0.0p+0", "0x1.be4a2519ca246p-11",
-            "0x0.0p+0", "0x1.7b335c30683a5p-6", "0x0.0p+0")),
+            "0x0.0p+0", "0x1.7b335c306837ep-6", "0x0.0p+0")),
         "non-comparison": ((14099, 4371, 5420, 346, 582, 2182), (
-            "0x1.d1262b0b16ca1p-1", "0x1.fdf41d14be249p+1", "0x1.1a17d14677641p-3",
+            "0x1.d1262b0b16ca0p-1", "0x1.fdf41d14be244p+1", "0x1.1a17d14677641p-3",
             "0x1.549327104ee2dp-3", "0x1.a63cfd0a41ab5p-2", "0x1.95f374e1c81ffp-2",
             "0x1.610440b6ec45ep-8", "0x1.734c18daaf874p-8", "0x1.1b2612aa57681p-10",
-            "0x1.20a03a665b0e2p-10", "0x1.05e87c0a1a00bp-5", "0x1.f9582df826168p-7")),
+            "0x1.20a03a665b0e2p-10", "0x1.05e87c0a19ffep-5", "0x1.f9582df826163p-7")),
         "odd-horizon-no-warmup": ((2403, 2051, 2004, 488, 483, 2578), (
-            "0x1.1a652ac2a8f4fp+1", "0x1.e7e8d7e4f0593p+0", "0x1.37be4e20b1a46p-2",
+            "0x1.1a652ac2a8f50p+1", "0x1.e7e8d7e4f0593p+0", "0x1.37be4e20b1a46p-2",
             "0x1.341c584f33c0bp-2", "0x1.53a7186934e5cp-1", "0x1.559de29520bbcp-1",
             "0x1.4a176b4a4a7a6p-8", "0x1.6eda6b892aa68p-8", "0x1.fbfdebe45354dp-10",
-            "0x1.f3939935a2efdp-10", "0x1.ecdf7f133b95ep-6", "0x1.34c88ff3e283ap-5")),
+            "0x1.f3939935a2efdp-10", "0x1.ecdf7f133b966p-6", "0x1.34c88ff3e283cp-5")),
         "few-counted-events": ((28, 14, 13, 0, 0, 5), (
             "0x1.caa07822347f3p+1", "0x1.78869b9112576p+1", "0x1.4444444444444p-2",
             "0x1.3333333333333p-2", "0x1.0d79435e50d79p-2", "0x1.1c71c71c71c72p-2",
             "0x1.26c461cdda58dp-5", "0x1.26c461cdda58dp-5", "0x1.e8bc338f0888bp-5",
             "0x1.f01d2a214223cp-5", "0x1.8723d96ea2d6dp-2", "0x1.dc4ef9671bb7fp-2")),
         "long-idle-runs": ((49069, 1454, 6296, 0, 0, 181), (
-            "0x1.b308f78f9b2bep-2", "0x1.a05ff850e3671p+2", "0x1.d5f64c87d0929p-6",
+            "0x1.b308f78f9b2bfp-2", "0x1.a05ff850e366dp+2", "0x1.d5f64c87d0929p-6",
             "0x1.d16f58b5f2d98p-4", "0x1.dbfcde561dbfdp-5", "0x1.c9d9fa3abbbdcp-6",
             "0x1.06b637f8091adp-9", "0x1.c13096a264a28p-8", "0x1.aa9dd63f404aep-11",
-            "0x1.e0f9577edb18bp-12", "0x1.b30d3c6fbddebp-7", "0x1.2ebf0dd773a25p-7")),
+            "0x1.e0f9577edb18bp-12", "0x1.b30d3c6fbddc2p-7", "0x1.2ebf0dd773a28p-7")),
         "fractional-slot": ((23992, 1435, 1475, 0, 0, 98), (
-            "0x1.6fa0c27fbed40p+0", "0x1.4e180e7b497efp+2", "0x1.d11fa1563e59bp-5",
+            "0x1.6fa0c27fbed5dp+0", "0x1.4e180e7b49809p+2", "0x1.d11fa1563e59bp-5",
             "0x1.dd4285a6a5824p-5", "0x1.05d84176105d8p-4", "0x1.fe5f5e8e3d84ap-5",
             "0x1.931f621c58588p-8", "0x1.91a92d9301483p-8", "0x1.08507abbb1a73p-10",
-            "0x1.e2d70e0b35dbep-11", "0x1.55dbd14833038p-5", "0x1.ec46bf7271c6ep-6")),
+            "0x1.e2d70e0b35dbep-11", "0x1.55dbd14833044p-5", "0x1.ec46bf7271c9ap-6")),
         "lone-station": ((23788, 3212, 0, 0, 0, 0), (
-            "0x1.0555e60902110p+3", "0x0.0p+0", "0x1.e745b535c76a2p-4",
+            "0x1.0555e60902111p+3", "0x0.0p+0", "0x1.e745b535c76a2p-4",
             "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
             "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
-            "0x1.3632cd1bc7af9p-10", "0x0.0p+0", "0x1.8f1bf7077faa4p-9")),
+            "0x1.3632cd1bc7af9p-10", "0x0.0p+0", "0x1.8f1bf7077fbc5p-9")),
         "all-tie": ((0, 0, 0, 0, 0, 19700), (
             "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0",
             "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
@@ -218,20 +228,20 @@ class TestReferenceStream:
             "0x1.af36850b58313p-9", "0x1.7b545bb85f3f3p-9", "0x1.e06fc3a18bcb3p-14",
             "0x1.8fb2e1f1dbd80p-14", "0x1.27c98e1ee3092p-6", "0x1.73c4d8be639dep-8")),
         "2^64-window": ((9232, 15678, 586, 510, 0, 994), (
-            "0x1.6e32d10742467p+2", "0x1.8340779da05fbp-1", "0x1.50405286dd55fp-2",
+            "0x1.6e32d1074245dp+2", "0x1.8340779da05f1p-1", "0x1.50405286dd55fp-2",
             "0x1.df623a67eac2fp-5", "0x1.da769da769da7p-4", "0x1.421b386282eaap-1",
             "0x1.9079e492327b9p-7", "0x1.33cc56dd52120p-7", "0x1.3e4b6fe3ddf78p-10",
-            "0x1.285f6a2daa8e4p-9", "0x1.0cd4bf3465c0ep-5", "0x1.b5066f25c1926p-5")),
+            "0x1.285f6a2daa8e4p-9", "0x1.0cd4bf3465c06p-5", "0x1.b5066f25c1916p-5")),
         "keys-beyond-64-bits": ((21691, 0, 4991, 0, 318, 0), (
             "0x0.0p+0", "0x1.986076de15dadp+2", "0x0.0p+0",
             "0x1.aad180b878c19p-4", "0x0.0p+0", "0x1.cef4da8ec35afp-4",
             "0x1.5d3bc61ebf1f9p-8", "0x0.0p+0", "0x1.01b23d45cd555p-10",
-            "0x0.0p+0", "0x1.55deb318557b6p-6", "0x0.0p+0")),
+            "0x0.0p+0", "0x1.55deb31855786p-6", "0x0.0p+0")),
         "blind-wifi": ((12588, 6698, 3631, 1343, 369, 2371), (
-            "0x1.9264b1d01161bp+0", "0x1.81ba86976656ep+1", "0x1.3593a20b7a9a1p-3",
+            "0x1.9264b1d011619p+0", "0x1.81ba86976656fp+1", "0x1.3593a20b7a9a1p-3",
             "0x1.61b8f3bcbea41p-4", "0x1.2a51755639b4ep-2", "0x1.0e3c884a12cfap-2",
             "0x1.9534cd7af2caap-8", "0x1.f00b6ec46e05ep-9", "0x1.c0aa4febf8d45p-11",
-            "0x1.50cffe58f9aedp-10", "0x1.3d4f491b60354p-5", "0x1.bc32d1a44b875p-6")),
+            "0x1.50cffe58f9aedp-10", "0x1.3d4f491b60352p-5", "0x1.bc32d1a44b86ep-6")),
     }
 
     @pytest.mark.parametrize("name", sorted(RUNS))
@@ -244,6 +254,27 @@ class TestReferenceStream:
                     report.tau_w, report.tau_l, report.p_w, report.p_l]
         measured += [report.stderr[key] for key in sorted(report.stderr)]
         assert [value.hex() for value in measured] == list(hexes)
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_throughputs_are_exact_in_the_counts(self, name):
+        # the counted events' time is summed exactly and rounded once, so
+        # are each network's payload bits, and a throughput is their quotient
+        run, cfg = self.RUNS[name]
+        report = run(cfg)
+        s = cfg.scenario.effective()
+        counts = [report.event_counts[c] for c in EVENT_CLASSES]
+        durations = [s.wifi.slot_us, report.t_sw_us, report.t_sl_us,
+                     report.t_cw_us, report.t_cl_us, report.t_cc_us]
+        time = float(sum(Fraction(n) * Fraction(t)
+                         for n, t in zip(counts, durations)))
+        bit_w = (derived_durations(s.wifi)[0] * s.wifi.data_rate_mbps
+                 if s.n_wifi else 0.0)
+        bit_l = s.laa.pdcch_fraction * s.laa.txop_us * s.laa.data_rate_mbps
+        bits_w = float(counts[1] * Fraction(bit_w))
+        bits_l = float(counts[2] * Fraction(bit_l))
+        assert report.tput_wifi_mbps == float(Fraction(bits_w) / Fraction(time))
+        assert report.tput_laa_mbps == float(Fraction(bits_l) / Fraction(time))
+        assert report.t_e_us == float(Fraction(time) / sum(counts))
 
 
 class TestAccounting:
@@ -294,18 +325,28 @@ class TestAccounting:
                            match=f"must be <= {MAX_STATIONS} for the simulator"):
             SimConfig(scenario=Scenario(n_wifi=n_wifi, n_laa=n_laa))
 
-    def test_batched_idle_time_matches_slot_by_slot_sums(self):
-        # idle time is booked per run; it must carry the bits of adding one
-        # slot at a time, including across binades and for steps off the grid
-        rng = random.Random(5)
-        for _ in range(20_000):
-            total = rng.choice([0.0, rng.uniform(0, 50), rng.uniform(0, 1e6)])
-            step = rng.choice([9.0, 20.0, 9.1, 0.5, 1e-3, rng.uniform(0, 30)])
-            n = rng.choice([1, 2, rng.randint(1, 40), rng.randint(1, 3000)])
-            expected = total
-            for _ in range(n):
-                expected += step
-            assert _add_repeated(total, step, n) == expected
+    # every simulated time is this sum: exact, then rounded once
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.tuples(
+        st.integers(0, 2 ** 40),
+        st.sampled_from([9.0, 9.1, 20.0, 1e-300, 5e-324])
+        | st.floats(0.0, allow_nan=False, allow_infinity=False)),
+        min_size=1, max_size=6))
+    @example([(2, sys.float_info.max)])
+    @example([(0, 9.1), (0, 5e-324), (0, sys.float_info.max)])
+    def test_exact_dot_rounds_the_exact_sum_once(self, terms):
+        counts, weights = zip(*terms)
+        try:
+            expected = float(sum(Fraction(n) * Fraction(w) for n, w in terms))
+        except OverflowError:
+            expected = math.inf
+        assert _exact_dot(weights)(counts) == expected
+
+    def test_exact_dot_overflows_to_inf_and_sums_no_events_to_zero(self):
+        dot = _exact_dot((9.1, 5e-324, sys.float_info.max))
+        assert dot((0, 0, 2)) == math.inf
+        assert dot((2 ** 40, 0, 1)) == sys.float_info.max
+        assert dot((0, 0, 0)) == 0.0
 
 
 class TestReportShape:
