@@ -58,7 +58,10 @@ class TestReferenceStream:
     engine, the next five (the edges of the event loop's heap) from the
     list-scan event loop that preceded the heap, and the last one (the
     per-network detection split) from the heap loop with per-station
-    tables that preceded the per-network ones: event counts in
+    tables that preceded the per-network ones, and the two asymmetric
+    collisions ("1+6-wifi-coin", "6+1-laa-retries") from the count-only
+    loop that popped and pushed every transmitter of a collision, before
+    the loop walked the heap's root in place: event counts in
     EVENT_CLASSES order, then ``float.hex`` of the six measured
     quantities and of the six standard errors (keys sorted). Any change to
     the draw order, mask-and-reject, the detection coin, the warmup and
@@ -154,6 +157,20 @@ class TestReferenceStream:
             scenario=Scenario(n_wifi=3, n_laa=3, wifi=WifiParams(w0=8, m=3),
                               laa=LaaParams(w0=16, m=2), p_dw=0.0, p_dl=0.3),
             horizon_events=30_000, seed=26, warmup_events=3_000)),
+        # asymmetric collisions: Wi-Fi's one station draws its coin in every
+        # cross collision, and LAA's collisions are mostly among its own
+        "1+6-wifi-coin": (simulate, SimConfig(
+            scenario=Scenario(n_wifi=1, n_laa=6, wifi=WifiParams(w0=8, m=2),
+                              laa=LaaParams(w0=8, m=2), p_dw=0.3, p_dl=0.546,
+                              comparison_mode=True),
+            horizon_events=30_000, seed=27, warmup_events=3_000)),
+        # LAA's one station draws its coin after several Wi-Fi ones, and
+        # holds its top window for three further failures
+        "6+1-laa-retries": (simulate, SimConfig(
+            scenario=Scenario(n_wifi=6, n_laa=1, wifi=WifiParams(w0=8, m=2),
+                              laa=LaaParams(w0=8, m=1, retry_limit=3),
+                              p_dl=0.77),
+            horizon_events=30_000, seed=28, warmup_events=3_000)),
     }
 
     EXPECTED = {
@@ -242,6 +259,16 @@ class TestReferenceStream:
             "0x1.61b8f3bcbea41p-4", "0x1.2a51755639b4ep-2", "0x1.0e3c884a12cfap-2",
             "0x1.9534cd7af2caap-8", "0x1.f00b6ec46e05ep-9", "0x1.c0aa4febf8d45p-11",
             "0x1.50cffe58f9aedp-10", "0x1.3d4f491b60352p-5", "0x1.bc32d1a44b86ep-6")),
+        "1+6-wifi-coin": ((9598, 2118, 8465, 0, 3911, 2908), (
+            "0x1.17d3cb360c506p-2", "0x1.ee672b2230968p+1", "0x1.7d3b3d840eddfp-3",
+            "0x1.0b74211247c18p-3", "0x1.6d82b3168369ap-3", "0x1.1df6077436caap-1",
+            "0x1.c7c0f7fd31ac6p-9", "0x1.6405b098a42e3p-8", "0x1.25133ae779cc4p-11",
+            "0x1.e44c12da5ac98p-10", "0x1.9145fa09f06d6p-6", "0x1.86c80b40ee4dap-8")),
+        "6+1-laa-retries": ((10583, 8503, 2090, 3527, 0, 2297), (
+            "0x1.2648d42a90c75p+1", "0x1.ff9fe76f6d21cp+0", "0x1.e71edf27f9533p-4",
+            "0x1.4cc3174959471p-3", "0x1.1e07b4f38942fp-1", "0x1.9b0c144ea9581p-2",
+            "0x1.cf2c10a0d89bep-8", "0x1.a8ea09c49e4a5p-9", "0x1.adb77637413d3p-10",
+            "0x1.2d27954d6083ep-11", "0x1.17a0219d05fdap-5", "0x1.74a34a404b7b2p-6")),
     }
 
     @pytest.mark.parametrize("name", sorted(RUNS))
@@ -611,10 +638,12 @@ class TestTrace:
     # Per 500-event dump: the scenario, the dump's sha256 (the 1+1 one as
     # the original per-slot engine wrote it, the 5+5 one as the list-scan
     # event loop wrote it, the 2+2 one as the heap loop with per-station
-    # tables wrote it) and the shortest longest idle run it must hold;
-    # ten stations leave shorter idle runs than two. The 2+2 dump holds
-    # Wi-Fi's extra stay at its top window and LAA resets after its top
-    # stage.
+    # tables wrote it, the 1+6 one as the count-only loop that popped and
+    # pushed every transmitter of a collision wrote it) and the shortest
+    # longest idle run it must hold; ten stations leave shorter idle runs
+    # than two. The 2+2 dump holds Wi-Fi's extra stay at its top window and
+    # LAA resets after its top stage; the 1+6 dump holds cross collisions
+    # where Wi-Fi's one station draws its coin.
     DUMPS = {
         "1+1": (case3_scenario(), "d64dfb09c3a952212c614dc5c4027d17"
                                   "ccd72bd2b75b5ee7c66f66649b55abb8", 5),
@@ -626,6 +655,10 @@ class TestTrace:
             TestReferenceStream.RUNS["non-comparison"][1].scenario,
             "52da43a8d3e0a2e66211f0cb54a86a165ec71cd6b1467e0581e69181f7c35b21",
             5),
+        "1+6-wifi-coin": (
+            TestReferenceStream.RUNS["1+6-wifi-coin"][1].scenario,
+            "6986b30acaf35e1e4a58dc96b847ee875ce0f11a117292a0d08172d0aeaff956",
+            4),
     }
 
     def dump(self, tmp_path, name):
