@@ -14,26 +14,26 @@ that share an event leave it by station number, which is the draw order
 below, and the per-event trace reads its counters off the heap. The stations
 of a network share one table of windows per stage. A lone transmitter always
 succeeds and draws no detection coin, so it takes a short path; a collision
-is handled one network's transmitters at a time, and a detection coin
-compares its draw with the integer ceil(p_d * 2**64). The loop only counts:
-a batch closes with its event count and its per-class and per-network
-counts, idle being its events minus its busy ones. Time and payload bits are
-formed from the counts when the run ends, each batch's time as the exact sum
-of count times duration over the six classes, rounded once. The warmup is
-batch 0, counted like the others and dropped at the end. One seeded PCG64
-stream feeds every draw in a fixed order, so a configuration is
-bit-reproducible: initial counters Wi-Fi then LAA; per event the Wi-Fi
-transmitters by index, then the LAA ones, each drawing its detection coin
-(when one is needed) before its new counter.
+walks the heap's root in place, one replace per transmitter, Wi-Fi's and then
+LAA's, and reads whether a network's first transmitter is its only one off the
+runner-up key. A detection coin compares its draw with the integer
+ceil(p_d * 2**64). The loop only counts: a batch closes with its event count
+and its per-class and per-network counts, idle being its events minus its busy
+ones. Time and payload bits are formed from the counts when the run ends, each
+batch's time as the exact sum of count times duration over the six classes,
+rounded once. The warmup is batch 0, counted like the others and dropped at
+the end. One seeded PCG64 stream feeds every draw in a fixed order, so a
+configuration is bit-reproducible: initial counters Wi-Fi then LAA; per event
+the Wi-Fi transmitters by index, then the LAA ones, each drawing its detection
+coin (when one is needed) before its new counter.
 """
 from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
-from heapq import heapify, heappop, heappush, heapreplace
+from heapq import heapify, heapreplace
 from itertools import chain, repeat
 
 import numpy as np
@@ -121,9 +121,10 @@ def simulate(cfg: SimConfig) -> SimReport:
     n_w, n_l = s.n_wifi, s.n_laa
 
     d = event_durations(s)
-    # durations for the trace; time is formed from the counts at the end
+    # classes and durations for the trace; time is formed from the counts
+    # at the end
     success = (("wifi-success", d.t_sw), ("laa-success", d.t_sl))
-    t_cw, t_cl, t_cc = d.t_cw, d.t_cl, d.t_cc
+    collision = tuple(zip(EVENT_CLASSES[3:], (d.t_cw, d.t_cl, d.t_cc)))
     slot = s.wifi.slot_us
 
     # Per network, indexed by stage j: the stage a collision at j moves to
@@ -153,7 +154,8 @@ def simulate(cfg: SimConfig) -> SimReport:
     # the station's next transmission: the least key is the next
     # transmitter, and at a tie the lower station, so stations that share an
     # event come off in draw order. Two sentinels at the horizon keep
-    # heap[1] and heap[2] defined; the run ends before either is popped.
+    # heap[1] and heap[2] defined, for the lone test and for a collision's
+    # runner-up test alike; the run ends before either reaches the root.
     shift = (n_w + n_l).bit_length()
     low = (1 << shift) - 1      # the station field of a key
     draw = _draws(cfg.seed).__next__
@@ -219,52 +221,58 @@ def simulate(cfg: SimConfig) -> SimReport:
                 backoff = draw() & mask
             heapreplace(heap, (idx + backoff) << shift | i)
         else:
-            transmitters = []
-            while heap[0] <= last:
-                transmitters.append(heappop(heap) & low)
-            n_wt = bisect_left(transmitters, n_w)
-            n_lt = len(transmitters) - n_wt
+            # A collision walks the root: each transmitter's new key lies
+            # past last, so the next root is the next station that fires at
+            # t, in station order, Wi-Fi's keys at t all below split and
+            # LAA's from it. A network's first transmitter is its only one,
+            # and so may go undetected in what must be a cross collision,
+            # when the runner-up key, the lesser child of the root, is not
+            # its network's at t.
+            split = last ^ low | n_w    # the least LAA key at t
+            if trace:   # the walk changes stage, so write the row first
+                wifi, laa = t in fire[:n_w], t in fire[n_w:n_w + n_l]
+                trace.row(t, *collision[wifi + 2 * laa - 1], stage, fire)
+            n_wt = n_lt = 0
+            if key < split:
+                tab = tab_w
+                if (heap[1] if heap[1] < heap[2] else heap[2]) >= split and (
+                        miss_w or coin_w and draw() >= coin_w):
+                    tab = reset_w
+                while key < split:
+                    i = key & low
+                    width, mask, stage[i] = tab[stage[i]]
+                    backoff = draw() & mask
+                    while backoff >= width:
+                        backoff = draw() & mask
+                    heapreplace(heap, (idx + backoff) << shift | i)
+                    n_wt += 1
+                    key = heap[0]
+                att_w += n_wt
+                if tab is tab_w:
+                    col_w += n_wt
+            if key <= last:     # with no Wi-Fi, LAA has two or more
+                tab = tab_l
+                if (heap[1] if heap[1] < heap[2] else heap[2]) > last and (
+                        miss_l or coin_l and draw() >= coin_l):
+                    tab = reset_l
+                while key <= last:
+                    i = key & low
+                    width, mask, stage[i] = tab[stage[i]]
+                    backoff = draw() & mask
+                    while backoff >= width:
+                        backoff = draw() & mask
+                    heapreplace(heap, (idx + backoff) << shift | i)
+                    n_lt += 1
+                    key = heap[0]
+                att_l += n_lt
+                if tab is tab_l:
+                    col_l += n_lt
             if not n_lt:
                 n_cw += 1
-                cls, dur = "wifi-collision", t_cw
             elif not n_wt:
                 n_cl += 1
-                cls, dur = "laa-collision", t_cl
             else:
                 n_cc += 1
-                cls, dur = "cross-collision", t_cc
-            if trace:
-                trace.row(t, cls, dur, stage, fire)
-            att_w += n_wt
-            att_l += n_lt
-
-            # The Wi-Fi slice, then the LAA one. A network's station is lone,
-            # and so may go undetected, only as its network's one
-            # transmitter, which in a collision means a cross one.
-            if n_wt:
-                tab = tab_w
-                if n_wt == 1 and (miss_w or coin_w and draw() >= coin_w):
-                    tab = reset_w
-                else:
-                    col_w += n_wt
-                for i in transmitters[:n_wt]:
-                    width, mask, stage[i] = tab[stage[i]]
-                    backoff = draw() & mask
-                    while backoff >= width:
-                        backoff = draw() & mask
-                    heappush(heap, (idx + backoff) << shift | i)
-            if n_lt:
-                tab = tab_l
-                if n_lt == 1 and (miss_l or coin_l and draw() >= coin_l):
-                    tab = reset_l
-                else:
-                    col_l += n_lt
-                for i in transmitters[n_wt:]:
-                    width, mask, stage[i] = tab[stage[i]]
-                    backoff = draw() & mask
-                    while backoff >= width:
-                        backoff = draw() & mask
-                    heappush(heap, (idx + backoff) << shift | i)
 
     if trace:
         trace.close()
