@@ -17,6 +17,7 @@ from laacoex.mcsim import (EVENT_CLASSES, MAX_STATIONS, SimConfig,
 from laacoex.solver import solve_coexistence
 from laacoex.throughput import (coexistence_throughput, event_durations,
                                 event_probabilities)
+from mcsim_oracle import reference_counts
 
 
 def case3_scenario(n_wifi=1, n_laa=1):
@@ -302,6 +303,43 @@ class TestReferenceStream:
         assert report.tput_wifi_mbps == float(Fraction(bits_w) / Fraction(time))
         assert report.tput_laa_mbps == float(Fraction(bits_l) / Fraction(time))
         assert report.t_e_us == float(Fraction(time) / sum(counts))
+
+
+class TestAgainstReferenceLoop:
+    """The event-driven heap loop against a plain loop that scans every
+    station's counter at every event (tests/mcsim_oracle.py), on the same
+    draws: every count must agree, whatever the collisions' make-up."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_w=st.integers(0, 6), n_l=st.integers(0, 6),
+           w0_w=st.integers(1, 12), m_w=st.integers(0, 3),
+           w0_l=st.integers(1, 12), m_l=st.integers(0, 3),
+           retry_limit=st.integers(0, 3), comparison_mode=st.booleans(),
+           p_dw=st.sampled_from((0.0, 0.3, 0.77, 1.0)),
+           p_dl=st.sampled_from((0.0, 0.3, 0.77, 1.0)),
+           horizon=st.integers(1, 3_000), warmup_share=st.floats(0, 0.5),
+           seed=st.integers(0, 2 ** 32))
+    def test_counts_match_reference_loop(self, n_w, n_l, w0_w, m_w, w0_l,
+                                         m_l, retry_limit, comparison_mode,
+                                         p_dw, p_dl, horizon, warmup_share,
+                                         seed):
+        if n_w + n_l == 0:
+            n_w = 1
+        s = Scenario(n_wifi=n_w, n_laa=n_l, wifi=WifiParams(w0=w0_w, m=m_w),
+                     laa=LaaParams(w0=w0_l, m=m_l, retry_limit=retry_limit),
+                     p_dw=p_dw, p_dl=p_dl, comparison_mode=comparison_mode)
+        horizon += 1
+        warmup = int(warmup_share * horizon)
+        report = simulate(SimConfig(scenario=s, horizon_events=horizon,
+                                    seed=seed, warmup_events=warmup))
+        events, (att_w, att_l), (col_w, col_l) = reference_counts(
+            s, horizon, seed, warmup)
+        assert report.event_counts == events
+        n = horizon - warmup
+        assert report.tau_w == (att_w / (n_w * n) if n_w else 0.0)
+        assert report.tau_l == (att_l / (n_l * n) if n_l else 0.0)
+        assert report.p_w == (col_w / att_w if att_w else 0.0)
+        assert report.p_l == (col_l / att_l if att_l else 0.0)
 
 
 class TestAccounting:
