@@ -10,8 +10,6 @@ checks event for event.
 """
 from __future__ import annotations
 
-import math
-
 from laacoex.mcsim import EVENT_CLASSES, _draws
 
 
@@ -35,7 +33,7 @@ def reference_counts(s, horizon: int, seed: int, warmup: int):
     def undetected(p):
         if p in (0.0, 1.0):     # certain: no coin
             return p == 0.0
-        return draw() >= math.ceil(p * 2.0 ** 64)
+        return draw() >= p * 2.0 ** 64     # an int compares exactly
 
     stage = [0] * len(chains)
     count = [counter(i, 0) for i in range(len(chains))]

@@ -328,7 +328,6 @@ class TestAgainstReferenceLoop:
         s = Scenario(n_wifi=n_w, n_laa=n_l, wifi=WifiParams(w0=w0_w, m=m_w),
                      laa=LaaParams(w0=w0_l, m=m_l, retry_limit=retry_limit),
                      p_dw=p_dw, p_dl=p_dl, comparison_mode=comparison_mode)
-        horizon += 1
         warmup = int(warmup_share * horizon)
         report = simulate(SimConfig(scenario=s, horizon_events=horizon,
                                     seed=seed, warmup_events=warmup))
