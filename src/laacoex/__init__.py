@@ -10,10 +10,8 @@ __version__ = "0.1.0"
 
 from .core import (LaaParams, Scenario, Solution, ThroughputReport,
                    WifiParams, derived_durations, load_priority_class,
-                   scenario_from_dict, scenario_from_yaml, scenario_to_dict,
-                   scenario_to_yaml)
+                   scenario_from_dict, scenario_to_dict)
 from .ed import EdConfig, dbm_to_mw, detection_probability
-from .markov import laa_tau, wifi_tau
 from .solver import ConvergenceError, SolverConfig, solve_coexistence
 from .throughput import (EventDurations, EventProbabilities,
                          coexistence_throughput, event_durations,
@@ -24,9 +22,7 @@ __all__ = [
     "__version__",
     "WifiParams", "LaaParams", "Scenario", "Solution", "ThroughputReport",
     "load_priority_class", "derived_durations",
-    "scenario_to_dict", "scenario_from_dict", "scenario_to_yaml",
-    "scenario_from_yaml",
-    "wifi_tau", "laa_tau",
+    "scenario_to_dict", "scenario_from_dict",
     "SolverConfig", "ConvergenceError", "solve_coexistence",
     "EventProbabilities", "EventDurations", "event_probabilities",
     "event_durations", "expected_event_time", "coexistence_throughput",

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import os
+import re
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
@@ -19,8 +20,8 @@ import yaml
 
 from . import __version__
 from ._fields import check_keys, check_value
-from .core import (Scenario, ThroughputReport, _YamlLoader,
-                   scenario_from_dict, scenario_to_dict)
+from .core import (Scenario, ThroughputReport, scenario_from_dict,
+                   scenario_to_dict)
 from .solver import ConvergenceError, SolverConfig, solve_coexistence
 from .throughput import coexistence_throughput, wifi_only_throughput
 
@@ -231,8 +232,19 @@ def _open_output(path: str | None):
 
 
 # ---------------------------------------------------------------------------
-# Bundled presets
+# Scenario and sweep files (YAML), bundled presets
 # ---------------------------------------------------------------------------
+
+class _YamlLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """Safe loader (libyaml when present) reading YAML 1.2 floats: ``8e3``
+    is a float, not YAML 1.1's string; ints resolve first, so 16 stays int."""
+
+
+_YamlLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."))
+
 
 def preset_names() -> list[str]:
     files = resources.files("laacoex").joinpath("presets")

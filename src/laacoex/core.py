@@ -6,10 +6,7 @@ across parallel workers.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, fields, replace
-
-import yaml
 
 from ._fields import check_field_types, check_keys
 from .ed import EdConfig, detection_probability
@@ -209,19 +206,8 @@ class ThroughputReport:
 
 
 # ---------------------------------------------------------------------------
-# Scenario files (YAML): nested key/value, one mapping per parameter group.
+# Scenario files: nested key/value, one mapping per parameter group.
 # ---------------------------------------------------------------------------
-
-class _YamlLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
-    """Safe loader (libyaml when present) reading YAML 1.2 floats: ``8e3``
-    is a float, not YAML 1.1's string; ints resolve first, so 16 stays int."""
-
-
-_YamlLoader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
-    list("-+0123456789."))
-
 
 _SCALAR_FIELDS = ("n_wifi", "n_laa", "p_dw", "p_dl", "comparison_mode")
 
@@ -287,12 +273,3 @@ def scenario_from_dict(data: dict) -> Scenario:
                  "give either p_dl or ed_laa, not both")
         kwargs["p_dl"] = _detection_from_block(data["ed_laa"], "ed_laa")
     return Scenario(**kwargs)
-
-
-def scenario_to_yaml(s: Scenario) -> str:
-    return yaml.safe_dump(scenario_to_dict(s), sort_keys=False)
-
-
-def scenario_from_yaml(text: str) -> Scenario:
-    return scenario_from_dict(yaml.load(text, Loader=_YamlLoader))
-

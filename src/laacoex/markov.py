@@ -10,8 +10,6 @@ of the stationary distribution.
 """
 from __future__ import annotations
 
-from .core import LaaParams, WifiParams
-
 # |1 - x| below this uses the limit value of (1 - x^n)/(1 - x); the factor
 # cancels analytically, the closed form just cannot evaluate it at x = 1.
 _POLE_EPS = 1e-9
@@ -49,27 +47,3 @@ def chain_tau(w0: int, m: int, extra_stages: int):
                       / transmit + 1.0)
 
     return tau
-
-
-def wifi_tau(w0: int, m: int, p_w: float) -> float:
-    """Per-slot transmission probability of a saturated Wi-Fi station.
-
-    The chain holds the top window for one extra failure after stage m.
-    Collapses to 2/(w0+1) at p_w = 0 and is continuous across the removable
-    p_w = 0.5 pole of the closed form. ``w0`` and ``m`` follow the rules of
-    WifiParams.
-    """
-    WifiParams(w0=w0, m=m)
-    return chain_tau(w0, m, 1)(p_w)
-
-
-def laa_tau(w0: int, m: int, e_l: int, p_l: float) -> float:
-    """Per-slot transmission probability of a saturated LAA node.
-
-    ``e_l`` is the number of extra failures spent at the top window before
-    the stage resets; ``e_l=1`` makes the chain identical to the Wi-Fi one.
-    ``w0``, ``m`` and ``e_l`` follow the rules of LaaParams' w0, m and
-    retry_limit.
-    """
-    LaaParams(w0=w0, m=m, retry_limit=e_l)
-    return chain_tau(w0, m, e_l)(p_l)

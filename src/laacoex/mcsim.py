@@ -39,8 +39,8 @@ from itertools import chain, repeat
 import numpy as np
 
 from ._fields import check_field_types
-from .core import Scenario, ThroughputReport, derived_durations
-from .throughput import event_durations
+from .core import Scenario, ThroughputReport
+from .throughput import event_durations, payload_bits
 
 _BATCHES = 100          # batch-means groups for standard-error estimates
 MAX_STATIONS = 1024     # larger runs are refused before any list is built
@@ -303,11 +303,7 @@ def _report(s, d, batches) -> SimReport:
     """Measure the counted batches: each holds its event count, attempts and
     chain collisions per network, then its busy events per class."""
     n_w, n_l = s.n_wifi, s.n_laa
-    # no payload without stations: a tiny unused rate would make it inf,
-    # and zero successes times inf a NaN
-    bit_w = (derived_durations(s.wifi)[0] * s.wifi.data_rate_mbps
-             if n_w else 0.0)
-    bit_l = s.laa.pdcch_fraction * s.laa.txop_us * s.laa.data_rate_mbps
+    bit_w, bit_l = payload_bits(s)
     time_of = _exact_dot((s.wifi.slot_us, d.t_sw, d.t_sl, d.t_cw, d.t_cl,
                           d.t_cc))
     b_events, b_att_w, b_att_l, b_col_w, b_col_l, *busy = zip(*batches)

@@ -86,6 +86,20 @@ def event_durations(s: Scenario) -> EventDurations:
                           t_cc=max(t_cw, t_cl))
 
 
+def payload_bits(s: Scenario, share_w: float = 1.0,
+                 share_l: float = 1.0) -> tuple[float, float]:
+    """Payload bits of one Wi-Fi success (its frame's payload; headers are
+    overhead inside t_sw) and of one LAA success (the TXOP's data fraction).
+    Each share leads its product, so the bits are rounded in one order for
+    a success probability and for 1.0, which gives the bits themselves."""
+    # no payload without Wi-Fi stations: a tiny unused rate would make it
+    # inf, and a zero share or count times inf a NaN (LAA's are all finite)
+    bits_w = (share_w * derived_durations(s.wifi)[0] * s.wifi.data_rate_mbps
+              if s.n_wifi else 0.0)
+    return bits_w, (share_l * s.laa.pdcch_fraction * s.laa.txop_us
+                    * s.laa.data_rate_mbps)
+
+
 def expected_event_time(ep: EventProbabilities, ed: EventDurations,
                         slot_us: float) -> float:
     """Expected duration of one channel event (microseconds).
@@ -108,26 +122,17 @@ def expected_event_time(ep: EventProbabilities, ed: EventDurations,
 
 
 def coexistence_throughput(s: Scenario, sol: Solution) -> ThroughputReport:
-    """Throughput of both networks at a solved fixed point.
-
-    The Wi-Fi numerator counts payload bits only (header airtime is overhead
-    inside the success duration); the LAA numerator counts the data fraction
-    of the TXOP. Per-user figures divide by the node count, 0 for an absent
-    network.
+    """Throughput of both networks at a solved fixed point: each network's
+    success probability times its payload bits, over the expected event time.
+    Per-user figures divide by the node count, 0 for an absent network.
     """
     s = s.effective()
     ep = event_probabilities(sol, s.n_wifi, s.n_laa)
     ed = event_durations(s)
     t_e = expected_event_time(ep, ed, s.wifi.slot_us)
-    # no payload without Wi-Fi stations: a tiny unused rate would make it
-    # inf, and p_trw = 0 times inf a NaN (LAA's factors are all finite)
-    psize = derived_durations(s.wifi)[0] if s.n_wifi else 0.0
-
-    tput_w = (ep.p_trw * ep.p_sw * (1.0 - ep.p_trl)
-              * psize * s.wifi.data_rate_mbps / t_e)
-    tput_l = (ep.p_trl * ep.p_sl * (1.0 - ep.p_trw)
-              * s.laa.pdcch_fraction * s.laa.txop_us
-              * s.laa.data_rate_mbps / t_e)
+    bits_w, bits_l = payload_bits(s, ep.p_trw * ep.p_sw * (1.0 - ep.p_trl),
+                                  ep.p_trl * ep.p_sl * (1.0 - ep.p_trw))
+    tput_w, tput_l = bits_w / t_e, bits_l / t_e
     return ThroughputReport(
         p_trw=ep.p_trw, p_sw=ep.p_sw, p_trl=ep.p_trl, p_sl=ep.p_sl,
         t_sw_us=ed.t_sw, t_cw_us=ed.t_cw, t_sl_us=ed.t_sl, t_cl_us=ed.t_cl,

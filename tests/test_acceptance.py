@@ -11,7 +11,7 @@ import pytest
 from laacoex import cli
 from laacoex.core import LaaParams, Scenario, WifiParams
 from laacoex.ed import EdConfig, detection_probability
-from laacoex.markov import laa_tau, wifi_tau
+from laacoex.markov import chain_tau
 from laacoex.mcsim import SimConfig, simulate
 from laacoex.solver import SolverConfig, solve_coexistence
 from laacoex.throughput import (EventDurations, EventProbabilities,
@@ -253,9 +253,9 @@ def test_c7_property_suites():
     # closed-form access probability equals the distribution head sum
     t0 = time.perf_counter()
     for w0, m, e_l, p in grid:
-        assert abs(wifi_tau(w0, m, p)
+        assert abs(chain_tau(w0, m, 1)(p)
                    - math.fsum(wifi_stationary(w0, m, p).stage_heads())) <= 1e-10
-        assert abs(laa_tau(w0, m, e_l, p)
+        assert abs(chain_tau(w0, m, e_l)(p)
                    - math.fsum(laa_stationary(w0, m, e_l, p).stage_heads())) <= 1e-10
     timings["closed-form vs enumeration"] = time.perf_counter() - t0
 
@@ -263,8 +263,11 @@ def test_c7_property_suites():
     t0 = time.perf_counter()
     for w0 in (2, 4, 8, 16, 32, 64):
         for m in range(0, 8):
+            s = Scenario(n_wifi=1, n_laa=1, wifi=WifiParams(w0=w0, m=m),
+                         laa=LaaParams(w0=w0, m=m, retry_limit=1))
+            tau_w, tau_l = (chain_tau(*chain) for chain in s.chains())
             for p in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
-                assert abs(laa_tau(w0, m, 1, p) - wifi_tau(w0, m, p)) <= 1e-12
+                assert abs(tau_l(p) - tau_w(p)) <= 1e-12
     timings["chain identity"] = time.perf_counter() - t0
 
     # expected-event-time weights sum to one
@@ -305,7 +308,7 @@ def test_c7_property_suites():
     t0 = time.perf_counter()
     for n, w0, m in ((2, 16, 6), (5, 8, 2), (20, 16, 6), (50, 4, 1)):
         def f(p):
-            return p - (1.0 - (1.0 - wifi_tau(w0, m, p)) ** (n - 1))
+            return p - (1.0 - (1.0 - chain_tau(w0, m, 1)(p)) ** (n - 1))
         lo, hi = 0.0, 1.0 - 1e-12
         while hi - lo > 1e-13:
             mid = 0.5 * (lo + hi)
@@ -313,7 +316,7 @@ def test_c7_property_suites():
                 lo = mid
             else:
                 hi = mid
-        oracle_tau = wifi_tau(w0, m, 0.5 * (lo + hi))
+        oracle_tau = chain_tau(w0, m, 1)(0.5 * (lo + hi))
         wifi_only = Scenario(n_wifi=n, n_laa=0, wifi=WifiParams(w0=w0, m=m))
         assert abs(solve_coexistence(wifi_only).tau_w - oracle_tau) <= 1e-8
     timings["bisection oracle"] = time.perf_counter() - t0

@@ -524,6 +524,17 @@ class TestImports:
             "assert 'numpy' in sys.modules and callable(simulate)\n")
         self.run_fresh(script)
 
+    def test_library_leaves_yaml_and_numpy_to_their_users(self):
+        # PyYAML is the CLI's and numpy the simulator's; the library itself
+        # loads neither, and every name it exports resolves
+        self.run_fresh("import sys\n"
+                       "import laacoex\n"
+                       "assert 'yaml' not in sys.modules\n"
+                       "assert 'numpy' not in sys.modules\n"
+                       "from laacoex import *\n"
+                       "missing = set(laacoex.__all__).difference(globals())\n"
+                       "assert not missing, missing\n")
+
     def test_simulator_sums_time_without_fractions_or_decimal(self):
         # exact sums use int arithmetic only, so importing the simulator
         # costs no more than it did

@@ -3,11 +3,10 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import laacoex.core as core
+from laacoex import cli
 from laacoex.core import (LaaParams, Scenario, WifiParams, derived_durations,
                           load_priority_class, scenario_from_dict,
-                          scenario_from_yaml, scenario_to_dict,
-                          scenario_to_yaml)
+                          scenario_to_dict)
 
 
 class TestPriorityClasses:
@@ -70,6 +69,15 @@ class TestValidation:
             LaaParams(retry_limit=9)
         with pytest.raises(ValueError, match="retry_limit"):
             LaaParams(retry_limit=-1)
+        with pytest.raises(ValueError, match="retry_limit"):
+            LaaParams(retry_limit=1.5)
+
+    @pytest.mark.parametrize("params", [WifiParams, LaaParams])
+    @pytest.mark.parametrize("w0, m", [(16, 2000), (1.5, 1)])
+    def test_window_names_field(self, params, w0, m):
+        # a huge m is named, not left to overflow 2.0 ** m
+        with pytest.raises(ValueError, match=r"\b(w0|m)\b"):
+            params(w0=w0, m=m)
 
     def test_pdcch_fraction_range(self):
         with pytest.raises(ValueError, match="pdcch_fraction"):
@@ -125,11 +133,16 @@ scenarios = st.builds(
 )
 
 
+def load_yaml(text):
+    return yaml.load(text, Loader=cli._YamlLoader)
+
+
 class TestScenarioFiles:
     @settings(max_examples=200)
     @given(scenarios)
     def test_yaml_round_trip(self, s):
-        assert scenario_from_yaml(scenario_to_yaml(s)) == s
+        text = yaml.safe_dump(scenario_to_dict(s), sort_keys=False)
+        assert scenario_from_dict(load_yaml(text)) == s
 
     @given(scenarios)
     def test_dict_round_trip(self, s):
@@ -153,10 +166,6 @@ class TestScenarioFiles:
             })
 
 
-def load_yaml(text):
-    return yaml.load(text, Loader=core._YamlLoader)
-
-
 class TestYamlLoader:
     def test_yaml_12_exponent_floats(self):
         data = load_yaml("a: 8e3\nb: 5e-1\nc: 1e308\nd: 16\ne: -1E+3\n")
@@ -174,13 +183,13 @@ class TestYamlLoader:
         assert yaml.safe_load("a: 8e3") == {"a": "8e3"}
 
     def test_scenario_from_yaml_reads_exponent_floats(self):
-        s = scenario_from_yaml(
-            "n_wifi: 1\nn_laa: 1\nlaa: {txop_us: 8e3}\np_dw: 5e-1\n")
+        s = scenario_from_dict(load_yaml(
+            "n_wifi: 1\nn_laa: 1\nlaa: {txop_us: 8e3}\np_dw: 5e-1\n"))
         assert s.laa.txop_us == 8000.0
         assert s.p_dw == 0.5
 
     def test_libyaml_backs_the_loader_when_present(self):
-        assert issubclass(core._YamlLoader, yaml.CSafeLoader
+        assert issubclass(cli._YamlLoader, yaml.CSafeLoader
                           if yaml.__with_libyaml__ else yaml.SafeLoader)
 
 

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from laacoex.markov import chain_tau, laa_tau, wifi_tau
+from laacoex.core import LaaParams, Scenario, WifiParams
+from laacoex.markov import chain_tau
 from markov_oracle import laa_stationary, wifi_stationary
 
 PROB_GRID = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
@@ -16,32 +17,35 @@ def geom(x, n):
     return math.fsum(x ** j for j in range(n))
 
 
+def network_taus(w0, m, retry_limit):
+    """tau(p) of the Wi-Fi and of the LAA chain of a scenario whose two
+    networks share ``w0`` and ``m``, as the solver binds them."""
+    s = Scenario(n_wifi=1, n_laa=1, wifi=WifiParams(w0=w0, m=m),
+                 laa=LaaParams(w0=w0, m=m, retry_limit=retry_limit))
+    return tuple(chain_tau(*chain) for chain in s.chains())
+
+
 class TestWifiTau:
     def test_no_collisions_collapses(self):
-        assert wifi_tau(16, 6, 0.0) == pytest.approx(2 / 17, abs=1e-15)
+        assert chain_tau(16, 6, 1)(0.0) == pytest.approx(2 / 17, abs=1e-15)
 
     def test_continuous_at_half(self):
         # the 1-2p factor in the closed form cancels; the limit branch must
         # agree with nearby direct evaluations
-        at_half = wifi_tau(16, 6, 0.5)
+        tau = chain_tau(16, 6, 1)
+        at_half = tau(0.5)
         assert math.isfinite(at_half)
-        assert at_half == pytest.approx(wifi_tau(16, 6, 0.5 - 1e-6), abs=1e-4)
-        assert at_half == pytest.approx(wifi_tau(16, 6, 0.5 + 1e-6), abs=1e-4)
+        assert at_half == pytest.approx(tau(0.5 - 1e-6), abs=1e-4)
+        assert at_half == pytest.approx(tau(0.5 + 1e-6), abs=1e-4)
 
     def test_matches_stationary_distribution(self):
         dist = wifi_stationary(16, 2, 0.3)
-        assert wifi_tau(16, 2, 0.3) == pytest.approx(
+        assert chain_tau(16, 2, 1)(0.3) == pytest.approx(
             math.fsum(dist.stage_heads()), abs=1e-10)
 
     def test_collision_certain_rejected(self):
         with pytest.raises(ValueError):
-            wifi_tau(16, 6, 1.0)
-
-    @pytest.mark.parametrize("w0, m", [(16, 2000), (1.5, 1)])
-    def test_window_follows_wifi_params_rules(self, w0, m):
-        # a huge m is named, not left to overflow 2.0 ** m
-        with pytest.raises(ValueError, match=r"\b(w0|m)\b"):
-            wifi_tau(w0, m, 0.1)
+            chain_tau(16, 6, 1)(1.0)
 
     @pytest.mark.parametrize("p", [float("nan"), -0.1, 1.0])
     def test_bound_chain_rejects_invalid_probability(self, p):
@@ -49,26 +53,26 @@ class TestWifiTau:
         with pytest.raises(ValueError, match="collision probability"):
             chain_tau(16, 6, 1)(p)
         with pytest.raises(ValueError, match="collision probability"):
-            laa_tau(16, 6, 2, p)
+            chain_tau(16, 6, 2)(p)
 
     @pytest.mark.parametrize("p", PROB_GRID)
     def test_decreasing_in_window(self, p):
-        taus = [wifi_tau(w0, 3, p) for w0 in W0_GRID]
+        taus = [chain_tau(w0, 3, 1)(p) for w0 in W0_GRID]
         assert all(a > b for a, b in zip(taus, taus[1:]))
 
 
 class TestLaaTau:
     def test_no_collisions_collapses(self):
-        assert laa_tau(4, 1, 1, 0.0) == pytest.approx(0.4, abs=1e-15)
+        assert chain_tau(4, 1, 1)(0.0) == pytest.approx(0.4, abs=1e-15)
 
     @pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 0.75, 0.99])
     def test_single_retry_equals_wifi_chain(self, p):
-        assert laa_tau(16, 6, 1, p) == pytest.approx(wifi_tau(16, 6, p),
-                                                     abs=1e-12)
+        tau_w, tau_l = network_taus(16, 6, 1)
+        assert tau_l(p) == pytest.approx(tau_w(p), abs=1e-12)
 
     def test_matches_stationary_distribution(self):
         dist = laa_stationary(16, 2, 3, 0.4)
-        assert laa_tau(16, 2, 3, 0.4) == pytest.approx(
+        assert chain_tau(16, 2, 3)(0.4) == pytest.approx(
             math.fsum(dist.stage_heads()), abs=1e-10)
 
     @pytest.mark.parametrize("w0, m, p", [(4, 1, 0.3), (16, 2, 0.6),
@@ -77,20 +81,12 @@ class TestLaaTau:
         # with no extra stays, the top-window occupancy term vanishes and
         # the closed form reduces to windows/attempts over stages 0..m
         expected = 2.0 / (w0 * geom(2 * p, m + 1) / geom(p, m + 1) + 1.0)
-        assert laa_tau(w0, m, 0, p) == pytest.approx(expected, abs=1e-12)
+        assert chain_tau(w0, m, 0)(p) == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("p", PROB_GRID)
     def test_decreasing_in_window(self, p):
-        taus = [laa_tau(w0, 2, 2, p) for w0 in W0_GRID]
+        taus = [chain_tau(w0, 2, 2)(p) for w0 in W0_GRID]
         assert all(a > b for a, b in zip(taus, taus[1:]))
-
-    def test_retry_limit_out_of_range(self):
-        with pytest.raises(ValueError):
-            laa_tau(16, 2, 9, 0.1)
-        with pytest.raises(ValueError):
-            laa_tau(16, 2, -1, 0.1)
-        with pytest.raises(ValueError, match="retry_limit"):
-            laa_tau(16, 1, 1.5, 0.1)
 
 
 class TestStationaryDistributions:
@@ -145,7 +141,7 @@ class TestStationaryDistributions:
        p=st.floats(0.0, 0.95))
 def test_wifi_closed_form_matches_enumeration(w0, m, p):
     dist = wifi_stationary(w0, m, p)
-    assert wifi_tau(w0, m, p) == pytest.approx(
+    assert chain_tau(w0, m, 1)(p) == pytest.approx(
         math.fsum(dist.stage_heads()), abs=1e-10)
 
 
@@ -154,7 +150,7 @@ def test_wifi_closed_form_matches_enumeration(w0, m, p):
        e_l=st.integers(0, 8), p=st.floats(0.0, 0.95))
 def test_laa_closed_form_matches_enumeration(w0, m, e_l, p):
     dist = laa_stationary(w0, m, e_l, p)
-    assert laa_tau(w0, m, e_l, p) == pytest.approx(
+    assert chain_tau(w0, m, e_l)(p) == pytest.approx(
         math.fsum(dist.stage_heads()), abs=1e-10)
 
 
@@ -162,5 +158,5 @@ def test_laa_closed_form_matches_enumeration(w0, m, e_l, p):
 @given(w0=st.sampled_from(W0_GRID), m=st.integers(0, 7),
        p=st.floats(0.0, 0.99))
 def test_chain_equivalence_at_single_retry(w0, m, p):
-    assert laa_tau(w0, m, 1, p) == pytest.approx(wifi_tau(w0, m, p),
-                                                 abs=1e-12)
+    tau_w, tau_l = network_taus(w0, m, 1)
+    assert tau_l(p) == pytest.approx(tau_w(p), abs=1e-12)

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laacoex.core import LaaParams, Scenario, WifiParams
-from laacoex.markov import laa_tau, wifi_tau
+from laacoex.markov import chain_tau
 from laacoex.solver import ConvergenceError, SolverConfig, solve_coexistence
 
 
@@ -20,7 +20,7 @@ def bisect_wifi_only(n, w0, m, tol=1e-12):
     on [0, 1). Deliberately avoids the damped-iteration code path.
     """
     def f(p):
-        return p - (1.0 - (1.0 - wifi_tau(w0, m, p)) ** (n - 1))
+        return p - (1.0 - (1.0 - chain_tau(w0, m, 1)(p)) ** (n - 1))
 
     lo, hi = 0.0, 1.0 - 1e-12
     while hi - lo > tol:
@@ -30,7 +30,7 @@ def bisect_wifi_only(n, w0, m, tol=1e-12):
         else:
             hi = mid
     p = 0.5 * (lo + hi)
-    return wifi_tau(w0, m, p), p
+    return chain_tau(w0, m, 1)(p), p
 
 
 class TestWifiOnly:
@@ -83,7 +83,7 @@ class TestCoexistence:
                                               ml=1, e_l=2))
 
         def f(p):
-            return p - (1.0 - (1.0 - laa_tau(8, 1, 2, p)) ** 2)
+            return p - (1.0 - (1.0 - chain_tau(8, 1, 2)(p)) ** 2)
 
         lo, hi = 0.0, 1.0 - 1e-12
         while hi - lo > 1e-12:
@@ -92,8 +92,8 @@ class TestCoexistence:
                 lo = mid
             else:
                 hi = mid
-        assert sol.tau_l == pytest.approx(laa_tau(8, 1, 2, 0.5 * (lo + hi)),
-                                          abs=1e-8)
+        assert sol.tau_l == pytest.approx(
+            chain_tau(8, 1, 2)(0.5 * (lo + hi)), abs=1e-8)
         assert sol.tau_w == 0.0
 
     def test_one_on_one_coupling(self):
@@ -156,12 +156,11 @@ def test_residual_honored_at_solution(scenario):
     assert p_w == pytest.approx(sol.p_w, abs=1e-12)
     assert p_l == pytest.approx(sol.p_l, abs=1e-12)
     if n_w:
-        chain = (laa_tau(eff.wifi.w0, eff.wifi.m, 0, p_w)
-                 if eff.comparison_mode else
-                 wifi_tau(eff.wifi.w0, eff.wifi.m, p_w))
+        chain = chain_tau(eff.wifi.w0, eff.wifi.m,
+                          0 if eff.comparison_mode else 1)(p_w)
         assert abs(chain - sol.tau_w) <= cfg.tolerance
     if n_l:
-        chain = laa_tau(eff.laa.w0, eff.laa.m, eff.laa.retry_limit, p_l)
+        chain = chain_tau(eff.laa.w0, eff.laa.m, eff.laa.retry_limit)(p_l)
         assert abs(chain - sol.tau_l) <= cfg.tolerance
 
 
@@ -295,8 +294,8 @@ REFERENCE_SOLUTIONS = {
 
 TAU_PROBABILITIES = (0.0, 0.25, 0.5 - 1e-10, 0.5, 0.5 + 1e-10, 1 - 1e-12)
 
-# wifi_tau(16, 6, p) and laa_tau(16, 6, e_l, p) over TAU_PROBABILITIES; the
-# middle three and the last hit the removable poles of the closed form.
+# chain_tau(16, 6, extra)(p) over TAU_PROBABILITIES, Wi-Fi's extra being 1;
+# the middle three and the last hit the removable poles of the closed form.
 REFERENCE_TAUS = {
     "wifi": _hex("0x1.e1e1e1e1e1e1ep-4", "0x1.49875f7a6c6ddp-4",
                  "0x1.0b8ee0c44a662p-5", "0x1.0b8ee0c4bbe18p-5",
@@ -343,7 +342,7 @@ class TestReferenceSolutions:
 
     @pytest.mark.parametrize("chain", REFERENCE_TAUS)
     def test_tau_bits(self, chain):
-        taus = tuple(wifi_tau(16, 6, p) if chain == "wifi"
-                     else laa_tau(16, 6, chain, p) for p in TAU_PROBABILITIES)
+        tau = chain_tau(16, 6, 1 if chain == "wifi" else chain)
+        taus = tuple(map(tau, TAU_PROBABILITIES))
         assert taus == REFERENCE_TAUS[chain]
 
