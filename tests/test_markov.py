@@ -88,6 +88,15 @@ class TestLaaTau:
         taus = [chain_tau(w0, 2, 2)(p) for w0 in W0_GRID]
         assert all(a > b for a, b in zip(taus, taus[1:]))
 
+    def test_retry_limit_out_of_range(self):
+        # no LAA chain is bound for a retry limit outside 0..8
+        with pytest.raises(ValueError, match="retry_limit"):
+            network_taus(16, 2, 9)
+        with pytest.raises(ValueError, match="retry_limit"):
+            network_taus(16, 2, -1)
+        with pytest.raises(ValueError, match="retry_limit"):
+            network_taus(16, 1, 1.5)
+
 
 class TestStationaryDistributions:
     def test_two_state_chain_by_hand(self):
