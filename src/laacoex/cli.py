@@ -228,7 +228,10 @@ def _open_output(path: str | None):
     out_dir = os.environ.get(OUT_DIR_ENV)
     if out_dir and not os.path.isabs(path):
         path = os.path.join(out_dir, path)
-    return open(path, "w", newline="", encoding="utf-8")
+    try:
+        return open(path, "w", newline="", encoding="utf-8")
+    except OSError as err:
+        raise OSError(f"--out: {err}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +295,12 @@ def _cmd_run(args) -> int:
         raise ValueError(
             f"{args.scenario!r} looks like a sweep spec; use 'laacoex sweep'")
     scenario = scenario_from_dict(data)
-    rows = run_scenario(scenario, args.engine, _solver_config(args),
-                        seed=args.seed, horizon=args.horizon,
-                        warmup=args.warmup, trace_path=args.trace)
+    try:
+        rows = run_scenario(scenario, args.engine, _solver_config(args),
+                            seed=args.seed, horizon=args.horizon,
+                            warmup=args.warmup, trace_path=args.trace)
+    except OSError as err:      # the trace is the only file a run writes
+        raise OSError(f"--trace: {err}") from None
     with _open_output(args.out) as out:
         _write_csv(out, _RUN_COLUMNS, rows)
     return 0

@@ -11,26 +11,28 @@ transmission to the next and touches only the transmitters. A binary heap
 keyed by (index, station) is the only record of those indices, so each
 transmitter costs O(log n) rather than a scan of all n stations, stations
 that share an event leave it by station number, which is the draw order
-below, and the per-event trace reads its counters off the heap. The stations
-of a network share one table of windows per stage. A lone transmitter always
-succeeds and draws no detection coin, so it takes a short path; a collision
-walks the heap's root in place, one replace per transmitter, Wi-Fi's and then
-LAA's, and reads whether a network's first transmitter is its only one off the
-runner-up key. A detection coin compares its draw with the integer
-ceil(p_d * 2**64). The loop only counts: a batch closes with its event count
-and its per-class and per-network counts, idle being its events minus its busy
-ones. Time and payload bits are formed from the counts when the run ends, each
-batch's time as the exact sum of count times duration over the six classes,
-rounded once. The warmup is batch 0, counted like the others and dropped at
-the end. One seeded PCG64 stream feeds every draw in a fixed order, so a
-configuration is bit-reproducible: initial counters Wi-Fi then LAA; per event
-the Wi-Fi transmitters by index, then the LAA ones, each drawing its detection
-coin (when one is needed) before its new counter.
+below. The stations of a network share one table of windows per stage. A
+lone transmitter always succeeds and draws no detection coin, so it takes a
+short path; a collision walks the heap's root in place, one replace per
+transmitter, Wi-Fi's and then LAA's, and reads whether a network's first
+transmitter is its only one off the runner-up key. A detection coin compares
+its draw with the integer ceil(p_d * 2**64). The loop only counts: a batch
+closes with its event count and its per-class and per-network counts, idle
+being its events minus its busy ones. Time and payload bits are formed from
+the counts when the run ends, each batch's time as the exact sum of count
+times duration over the six classes, rounded once. The warmup is batch 0,
+counted like the others and dropped at the end. One seeded PCG64 stream
+feeds every draw in a fixed order, so a configuration is bit-reproducible:
+initial counters Wi-Fi then LAA; per event the Wi-Fi transmitters by index,
+then the LAA ones, each drawing its detection coin (when one is needed)
+before its new counter. The per-event trace is written by ``_replay``, a
+plain per-event loop on its own copy of the stream.
 """
 from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from heapq import heapify, heapreplace
@@ -120,12 +122,8 @@ def simulate(cfg: SimConfig) -> SimReport:
     s = cfg.scenario.effective()
     n_w, n_l = s.n_wifi, s.n_laa
 
-    d = event_durations(s)
-    # classes and durations for the trace; time is formed from the counts
-    # at the end
-    success = (("wifi-success", d.t_sw), ("laa-success", d.t_sl))
-    collision = tuple(zip(EVENT_CLASSES[3:], (d.t_cw, d.t_cl, d.t_cc)))
-    slot = s.wifi.slot_us
+    if cfg.trace_path:
+        _write_trace(cfg.trace_path, s, cfg.horizon_events, cfg.seed)
 
     # Per network, indexed by stage j: the stage a collision at j moves to
     # (the next one, or 0 after the last stay at the top window) with its
@@ -180,19 +178,9 @@ def simulate(cfg: SimConfig) -> SimReport:
     # per network, chain collisions per network, collision events per kind
     n_sw = n_sl = att_w = att_l = col_w = col_l = n_cw = n_cl = n_cc = 0
 
-    trace = _TraceWriter(cfg.trace_path, n_w, n_l) if cfg.trace_path else None
-    idx = 0             # the event after the last transmission
     while True:
         key = heap[0]
         t = key >> shift
-        if trace:
-            # each station's next transmission, off the heap before any
-            # pop; the sentinels land past the last station
-            fire = [0] * (low + 1)
-            for k in heap:
-                fire[k & low] = k >> shift
-            for at in range(idx, min(t, horizon)):
-                trace.row(at, "idle", slot, stage, fire)
         if t >= b_end:          # b_end <= horizon until the last batch closes
             while b_end <= t:   # close every batch that ends by this event
                 batches.append((b_end - b_start, n_sw + att_w, n_sl + att_l,
@@ -207,8 +195,6 @@ def simulate(cfg: SimConfig) -> SimReport:
         last = key | low        # the largest key that fires at t
         if heap[1] > last and heap[2] > last:   # lone: no rival, no coin
             i = key & low
-            if trace:
-                trace.row(t, *success[i >= n_w], stage, fire)
             stage[i] = 0
             if i < n_w:
                 n_sw += 1
@@ -229,9 +215,6 @@ def simulate(cfg: SimConfig) -> SimReport:
             # when the runner-up key, the lesser child of the root, is not
             # its network's at t.
             split = last ^ low | n_w    # the least LAA key at t
-            if trace:   # the walk changes stage, so write the row first
-                wifi, laa = t in fire[:n_w], t in fire[n_w:n_w + n_l]
-                trace.row(t, *collision[wifi + 2 * laa - 1], stage, fire)
             n_wt = n_lt = 0
             if key < split:
                 tab = tab_w
@@ -274,9 +257,7 @@ def simulate(cfg: SimConfig) -> SimReport:
             else:
                 n_cc += 1
 
-    if trace:
-        trace.close()
-    return _report(s, d, batches[1:])
+    return _report(s, batches[1:])
 
 
 def _exact_dot(weights):
@@ -299,10 +280,11 @@ def _exact_dot(weights):
     return dot
 
 
-def _report(s, d, batches) -> SimReport:
+def _report(s, batches) -> SimReport:
     """Measure the counted batches: each holds its event count, attempts and
     chain collisions per network, then its busy events per class."""
     n_w, n_l = s.n_wifi, s.n_laa
+    d = event_durations(s)
     bit_w, bit_l = payload_bits(s)
     time_of = _exact_dot((s.wifi.slot_us, d.t_sw, d.t_sl, d.t_cw, d.t_cl,
                           d.t_cc))
@@ -362,22 +344,74 @@ def _report(s, d, batches) -> SimReport:
     return report
 
 
-class _TraceWriter:
-    """Per-event CSV dump: index, class, duration, per-node chain state."""
+def _replay(s: Scenario, horizon: int, seed: int):
+    """Yield the run event by event from a plain loop that scans every
+    station's counter: the class, each station's stage and counter as the
+    event begins, and whether each network's transmitters collided in their
+    chains, a (Wi-Fi, LAA) pair. Windows from ``Scenario.chains()`` and the
+    float coin ``p * 2.0 ** 64`` keep it apart from ``simulate``'s tables."""
+    draw = _draws(seed).__next__
+    n_w = s.n_wifi
+    chains = [s.chains()[0]] * n_w + [s.chains()[1]] * s.n_laa
 
-    def __init__(self, path: str, n_w: int, n_l: int):
-        self._fh = open(path, "w", newline="", encoding="utf-8")
-        self._writer = csv.writer(self._fh, lineterminator="\n")
-        header = ["event_index", "event_class", "duration_us"]
-        for node in [f"w{i}" for i in range(n_w)] + [f"l{i}" for i in range(n_l)]:
-            header += [f"{node}_stage", f"{node}_counter"]
-        self._writer.writerow(header)
+    def counter(i, j):
+        w0, m, _ = chains[i]
+        width = w0 * 2 ** min(j, m)
+        mask = 2 ** (width - 1).bit_length() - 1
+        while (backoff := draw() & mask) >= width:
+            pass
+        return backoff
 
-    def row(self, idx, cls, dur, stage, fire) -> None:
-        cells = [idx, cls, dur]
-        for st, at in zip(stage, fire):
-            cells += [st, at - idx]
-        self._writer.writerow(cells)
+    def undetected(p):
+        if p in (0.0, 1.0):     # certain: no coin
+            return p == 0.0
+        return draw() >= p * 2.0 ** 64     # an int compares exactly
 
-    def close(self) -> None:
-        self._fh.close()
+    stage = [0] * len(chains)
+    count = [counter(i, 0) for i in range(len(chains))]
+    for _ in range(horizon):
+        if 0 not in count:      # idle: every counter steps down one slot
+            yield "idle", stage, count, (False, False)
+            count = [c - 1 for c in count]
+            continue
+        tx = [i for i, c in enumerate(count) if c == 0]
+        cut = bisect_left(tx, n_w)      # Wi-Fi's stations come first
+        groups = tx[:cut], tx[cut:]
+        if len(tx) == 1:
+            cls = ("wifi-success", "laa-success")[tx[0] >= n_w]
+        else:
+            cls = ("cross-collision" if all(groups) else "wifi-collision"
+                   if groups[0] else "laa-collision")
+        begun = stage, count    # yielded lists are rebound, never changed
+        stage, count = stage[:], [c - 1 for c in count]
+        collided = []
+        for net, group in enumerate(groups):
+            # a lone transmitter succeeds; a network's one transmitter in a
+            # cross collision succeeds in its chain when it goes undetected
+            hit = len(tx) > 1 and bool(group) and not (
+                len(group) == 1 and undetected((s.p_dw, s.p_dl)[net]))
+            for i in group:
+                _, m, extra = chains[i]
+                stage[i] = stage[i] + 1 if hit and stage[i] < m + extra else 0
+                count[i] = counter(i, stage[i])
+            collided.append(hit)
+        yield cls, *begun, tuple(collided)
+
+
+def _write_trace(path: str, s: Scenario, horizon: int, seed: int) -> None:
+    """Write the per-event CSV dump of ``_replay``: index, class, duration,
+    then each station's stage and counter as the event begins."""
+    d = event_durations(s)      # formatted once; csv writes a str as is
+    duration = dict(zip(EVENT_CLASSES, map(str, (
+        s.wifi.slot_us, d.t_sw, d.t_sl, d.t_cw, d.t_cl, d.t_cc))))
+    header = ["event_index", "event_class", "duration_us", *(
+        f"{net}{i}_{col}" for net, n in (("w", s.n_wifi), ("l", s.n_laa))
+        for i in range(n) for col in ("stage", "counter"))]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(header)
+        row = [None] * len(header)
+        for k, (cls, stage, count, _) in enumerate(_replay(s, horizon, seed)):
+            row[:3] = k, cls, duration[cls]
+            row[3::2], row[4::2] = stage, count
+            out.writerow(row)

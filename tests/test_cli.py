@@ -414,6 +414,16 @@ class TestOutputHandling:
         assert code == 0
         assert target.exists()
 
+    @pytest.mark.parametrize("flag", ["--out", "--trace"])
+    def test_unwritable_path_names_its_flag(self, tmp_path, capsys, flag):
+        target = str(tmp_path / "missing" / "x.csv")
+        code, out, err = run_cli(capsys, "run", "table4_case3",
+                                 "--engine", "simulate", "--horizon", "2000",
+                                 "--warmup", "100", flag, target)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {flag}: ") and target in err
+
     def test_repeat_runs_byte_identical(self, tmp_path, capsys):
         args = ("run", "table4_case3", "--engine", "both",
                 "--horizon", "60000", "--seed", "99")

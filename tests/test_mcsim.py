@@ -4,6 +4,7 @@ import math
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -13,11 +14,10 @@ from hypothesis import strategies as st
 from laacoex.core import (LaaParams, Scenario, ThroughputReport, WifiParams,
                           derived_durations, load_priority_class)
 from laacoex.mcsim import (EVENT_CLASSES, MAX_STATIONS, SimConfig,
-                           _exact_dot, simulate)
+                           _exact_dot, _replay, simulate)
 from laacoex.solver import solve_coexistence
 from laacoex.throughput import (coexistence_throughput, event_durations,
                                 event_probabilities)
-from mcsim_oracle import reference_counts
 
 
 def case3_scenario(n_wifi=1, n_laa=1):
@@ -306,9 +306,9 @@ class TestReferenceStream:
 
 
 class TestAgainstReferenceLoop:
-    """The event-driven heap loop against a plain loop that scans every
-    station's counter at every event (tests/mcsim_oracle.py), on the same
-    draws: every count must agree, whatever the collisions' make-up."""
+    """The event-driven heap loop against ``mcsim._replay``, a plain loop
+    over the same draws: every count must agree, whatever the collisions'
+    make-up. The examples are the TestTrace dumps, whose hashes pin both."""
 
     @settings(max_examples=40, deadline=None)
     @given(n_w=st.integers(0, 6), n_l=st.integers(0, 6),
@@ -319,6 +319,10 @@ class TestAgainstReferenceLoop:
            p_dl=st.sampled_from((0.0, 0.3, 0.77, 1.0)),
            horizon=st.integers(1, 3_000), warmup_share=st.floats(0, 0.5),
            seed=st.integers(0, 2 ** 32))
+    @example(1, 1, 16, 2, 16, 2, 1, True, 1.0, 1.0, 500, 0.0, 2)
+    @example(5, 5, 16, 2, 16, 2, 1, True, 0.546, 0.546, 500, 0.0, 2)
+    @example(2, 2, 8, 2, 8, 1, 2, False, 1.0, 1.0, 500, 0.0, 2)
+    @example(1, 6, 8, 2, 8, 2, 1, True, 0.3, 0.546, 500, 0.0, 2)
     def test_counts_match_reference_loop(self, n_w, n_l, w0_w, m_w, w0_l,
                                          m_l, retry_limit, comparison_mode,
                                          p_dw, p_dl, horizon, warmup_share,
@@ -331,8 +335,14 @@ class TestAgainstReferenceLoop:
         warmup = int(warmup_share * horizon)
         report = simulate(SimConfig(scenario=s, horizon_events=horizon,
                                     seed=seed, warmup_events=warmup))
-        events, (att_w, att_l), (col_w, col_l) = reference_counts(
-            s, horizon, seed, warmup)
+        events = dict.fromkeys(EVENT_CLASSES, 0)
+        att_w = att_l = col_w = col_l = 0
+        for cls, _, count, (hit_w, hit_l) in islice(
+                _replay(s, horizon, seed), warmup, None):
+            events[cls] += 1
+            tx_w, tx_l = count[:n_w].count(0), count[n_w:].count(0)
+            att_w, att_l = att_w + tx_w, att_l + tx_l
+            col_w, col_l = col_w + hit_w * tx_w, col_l + hit_l * tx_l
         assert report.event_counts == events
         n = horizon - warmup
         assert report.tau_w == (att_w / (n_w * n) if n_w else 0.0)
@@ -576,7 +586,8 @@ class TestExactTwoNodeChain:
     machine precision, with no independence approximation. The simulator
     must land on its stationary throughput; where the decoupled analytic
     model deviates from this chain, the simulator is the one telling the
-    truth.
+    truth. Each test first pins the chain's throughputs as this dense power
+    iteration gives them, to within BLAS's machine-to-machine last bits.
     """
 
     def exact_throughputs(self, s):
@@ -649,6 +660,8 @@ class TestExactTwoNodeChain:
                                    data_rate_mbps=70.2),
                      comparison_mode=True)
         exact_w, exact_l = self.exact_throughputs(s)
+        assert (exact_w, exact_l) == pytest.approx(tuple(map(float.fromhex, (
+            "0x1.267bcdd7b530fp+2", "0x1.24e8dc70e8e51p+5"))), rel=1e-12)
         report = simulate(SimConfig(scenario=s, horizon_events=1_000_000,
                                     seed=404))
         assert report.tput_wifi_mbps == pytest.approx(
@@ -663,6 +676,8 @@ class TestExactTwoNodeChain:
                                    data_rate_mbps=8.4),
                      comparison_mode=True)
         exact_w, exact_l = self.exact_throughputs(s)
+        assert (exact_w, exact_l) == pytest.approx(tuple(map(float.fromhex, (
+            "0x1.69d8f1f006e69p+1", "0x1.02663c4537ed9p+2"))), rel=1e-12)
         report = simulate(SimConfig(scenario=s, horizon_events=1_000_000,
                                     seed=405))
         assert report.tput_wifi_mbps == pytest.approx(
@@ -676,11 +691,13 @@ class TestTrace:
     # the original per-slot engine wrote it, the 5+5 one as the list-scan
     # event loop wrote it, the 2+2 one as the heap loop with per-station
     # tables wrote it, the 1+6 one as the count-only loop that popped and
-    # pushed every transmitter of a collision wrote it) and the shortest
-    # longest idle run it must hold; ten stations leave shorter idle runs
-    # than two. The 2+2 dump holds Wi-Fi's extra stay at its top window and
-    # LAA resets after its top stage; the 1+6 dump holds cross collisions
-    # where Wi-Fi's one station draws its coin.
+    # pushed every transmitter of a collision wrote it; mcsim._replay
+    # writes each now, and TestAgainstReferenceLoop ties its counts to
+    # simulate's) and the shortest longest idle run it must hold; ten
+    # stations leave shorter idle runs than two. The 2+2 dump holds Wi-Fi's
+    # extra stay at its top window and LAA resets after its top stage; the
+    # 1+6 dump holds cross collisions where Wi-Fi's one station draws its
+    # coin.
     DUMPS = {
         "1+1": (case3_scenario(), "d64dfb09c3a952212c614dc5c4027d17"
                                   "ccd72bd2b75b5ee7c66f66649b55abb8", 5),
@@ -742,8 +759,8 @@ class TestTrace:
             assert (row[1] == "idle") == (min(row[3::2]) > 0)
         assert longest >= self.DUMPS[name][2]
 
-    # the trace rebuilds each station's next event from the heap, so check
-    # it against the untraced run on every detection and chain branch
+    # writing the trace draws nothing from the run's stream, on any
+    # detection or chain branch
     @pytest.mark.parametrize("scenario", [
         case3_scenario(), DUMPS["5+5-detection"][0],
         DUMPS["2+2-non-comparison"][0],
