@@ -136,15 +136,13 @@ def analytic_row(s: Scenario, cfg: SolverConfig) -> dict:
                        residual=sol.residual, iterations=sol.iterations)
 
 
-def simulate_row(s: Scenario, seed: int, horizon: int, warmup: int,
-                 trace_path=None) -> dict:
+def simulate_row(s: Scenario, seed: int, horizon: int, warmup: int) -> dict:
     """Run the slot-level simulator and flatten measurements to CSV cells."""
     # Imported here, not at module level: only the simulator needs numpy.
     from .mcsim import SimConfig, simulate
     eff = s.effective()
-    sim = simulate(SimConfig(
-        scenario=eff, horizon_events=horizon, seed=seed,
-        warmup_events=warmup, trace_path=trace_path))
+    sim = simulate(SimConfig(scenario=eff, horizon_events=horizon,
+                             seed=seed, warmup_events=warmup))
     row = _engine_row(
         "simulate", eff, sim, sim, seed=seed, horizon_events=horizon,
         warmup_events=warmup,
@@ -156,13 +154,13 @@ def simulate_row(s: Scenario, seed: int, horizon: int, warmup: int,
 
 
 def run_scenario(s: Scenario, engine: str, cfg: SolverConfig, seed: int,
-                 horizon: int, warmup: int, trace_path=None) -> list[dict]:
+                 horizon: int, warmup: int) -> list[dict]:
     """Evaluate one scenario with the requested engine(s), one row each."""
     rows = []
     if engine in ("analytic", "both"):
         rows.append(analytic_row(s, cfg))
     if engine in ("simulate", "both"):
-        rows.append(simulate_row(s, seed, horizon, warmup, trace_path))
+        rows.append(simulate_row(s, seed, horizon, warmup))
     return rows
 
 
@@ -204,13 +202,11 @@ def run_sweep(spec: SweepSpec, cfg: SolverConfig) -> tuple[list[dict], bool]:
 
 
 def _format_cell(value) -> str:
-    if value is None or value == "":
+    if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return str(value)       # a float's str is its shortest repr
 
 
 def _write_csv(out, header, rows) -> None:
@@ -221,17 +217,19 @@ def _write_csv(out, header, rows) -> None:
         writer.writerow([_format_cell(row.get(col, "")) for col in header])
 
 
-def _open_output(path: str | None):
-    """Open the output target; relative paths land in $LAACOEX_OUT_DIR."""
+def _output_path(path: str) -> str:
+    """Where an output file lands: a relative path under $LAACOEX_OUT_DIR."""
+    return os.path.join(os.environ.get(OUT_DIR_ENV, ""), path)
+
+
+def _open_output(path: str | None, flag: str):
+    """Open an output to write (None or '-': stdout); errors name flag."""
     if path is None or path == "-":
         return nullcontext(sys.stdout)
-    out_dir = os.environ.get(OUT_DIR_ENV)
-    if out_dir and not os.path.isabs(path):
-        path = os.path.join(out_dir, path)
     try:
-        return open(path, "w", newline="", encoding="utf-8")
+        return open(_output_path(path), "w", newline="", encoding="utf-8")
     except OSError as err:
-        raise OSError(f"--out: {err}") from None
+        raise OSError(f"{flag}: {err}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -286,22 +284,29 @@ def _solver_config(args) -> SolverConfig:
 # ---------------------------------------------------------------------------
 
 def _cmd_run(args) -> int:
+    # every input is checked before an output is opened
     if args.trace is not None and args.engine == "analytic":
         raise ValueError("--trace needs --engine simulate or both")
-    if args.trace == "":
-        raise ValueError("--trace needs a non-empty file path")
+    if args.trace in ("", "-"):
+        raise ValueError("--trace needs a file path, not stdout")
+    if args.trace and args.out not in (None, "-") and len({os.path.realpath(
+            _output_path(p)) for p in (args.out, args.trace)}) == 1:
+        raise ValueError("--out and --trace name the same file")
     data = _load_input(args.scenario)
     if "axis" in data:
         raise ValueError(
             f"{args.scenario!r} looks like a sweep spec; use 'laacoex sweep'")
     scenario = scenario_from_dict(data)
-    try:
-        rows = run_scenario(scenario, args.engine, _solver_config(args),
-                            seed=args.seed, horizon=args.horizon,
-                            warmup=args.warmup, trace_path=args.trace)
-    except OSError as err:      # the trace is the only file a run writes
-        raise OSError(f"--trace: {err}") from None
-    with _open_output(args.out) as out:
+    cfg = _solver_config(args)
+    if args.engine != "analytic":   # numpy is the simulator's alone
+        from .mcsim import SimConfig, write_trace
+        sim = SimConfig(scenario, args.horizon, args.seed, args.warmup)
+    with _open_output(args.out, "--out") as out:
+        if args.trace is not None:
+            with _open_output(args.trace, "--trace") as trace:
+                write_trace(trace, sim)
+        rows = run_scenario(scenario, args.engine, cfg, seed=args.seed,
+                            horizon=args.horizon, warmup=args.warmup)
         _write_csv(out, _RUN_COLUMNS, rows)
     return 0
 
@@ -313,7 +318,7 @@ def _cmd_sweep(args) -> int:
             f"{args.spec!r} looks like a scenario; use 'laacoex run'")
     spec = sweep_spec_from_dict(data)
     rows, any_failed = run_sweep(spec, _solver_config(args))
-    with _open_output(args.out) as out:
+    with _open_output(args.out, "--out") as out:
         _write_csv(out, _SWEEP_COLUMNS, rows)
     if any_failed:
         print("error: one or more sweep points failed to converge "
@@ -341,25 +346,19 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("scenario", help="scenario file path or preset name")
     run.add_argument("--engine", choices=("analytic", "simulate", "both"),
                      default="analytic")
-    run.add_argument("--out", default=None,
-                     help="output CSV path ('-' or omitted: stdout); "
-                          f"relative paths resolve under ${OUT_DIR_ENV}")
     run.add_argument("--seed", type=int, default=1)
     run.add_argument("--horizon", type=int, default=2_000_000,
                      help="channel events to simulate")
     run.add_argument("--warmup", type=int, default=10_000,
                      help="leading events excluded from statistics")
     run.add_argument("--trace", default=None,
-                     help="write a per-event CSV trace to this path")
-    _add_solver_flags(run)
+                     help="per-event CSV trace path, resolved as --out's")
+    _add_common_flags(run)
     run.set_defaults(func=_cmd_run)
 
     sweep = sub.add_parser("sweep", help="run a parameter sweep to CSV")
     sweep.add_argument("spec", help="sweep spec file path or preset name")
-    sweep.add_argument("--out", default=None,
-                       help="output CSV path ('-' or omitted: stdout); "
-                            f"relative paths resolve under ${OUT_DIR_ENV}")
-    _add_solver_flags(sweep)
+    _add_common_flags(sweep)
     sweep.set_defaults(func=_cmd_sweep)
 
     presets = sub.add_parser("presets", help="list bundled preset names")
@@ -367,7 +366,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_solver_flags(sub) -> None:
+def _add_common_flags(sub) -> None:
+    sub.add_argument("--out", default=None,
+                     help="output CSV path ('-' or omitted: stdout); "
+                          f"relative paths resolve under ${OUT_DIR_ENV}")
     sub.add_argument("--tolerance", type=float, default=1e-10)
     sub.add_argument("--max-iterations", type=int, default=10000,
                      dest="max_iterations")

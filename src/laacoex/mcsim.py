@@ -25,8 +25,8 @@ counted like the others and dropped at the end. One seeded PCG64 stream
 feeds every draw in a fixed order, so a configuration is bit-reproducible:
 initial counters Wi-Fi then LAA; per event the Wi-Fi transmitters by index,
 then the LAA ones, each drawing its detection coin (when one is needed)
-before its new counter. The per-event trace is written by ``_replay``, a
-plain per-event loop on its own copy of the stream.
+before its new counter. ``simulate`` writes nothing: ``write_trace`` dumps
+a run from ``_replay``, a plain per-event loop on its own copy of the stream.
 """
 from __future__ import annotations
 
@@ -62,13 +62,12 @@ def _draws(seed: int):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One simulation run: scenario, length, seed, warmup."""
+    """One simulation run: scenario, length, seed, warmup, checked on build."""
 
     scenario: Scenario
     horizon_events: int = 2_000_000   # channel events simulated in total
     seed: int = 1                     # PCG64 seed
     warmup_events: int = 10_000       # leading events excluded from statistics
-    trace_path: str | None = None     # per-event CSV dump (debugging; slow)
 
     def __post_init__(self) -> None:
         check_field_types(self)
@@ -80,10 +79,6 @@ class SimConfig:
         if n > MAX_STATIONS:
             raise ValueError(f"n_wifi + n_laa must be <= {MAX_STATIONS} for "
                              f"the simulator, got {n}")
-        path = self.trace_path
-        if path is not None and not (isinstance(path, str) and path):
-            raise ValueError("trace_path must be None or a non-empty file "
-                             f"path, got {path!r}")
 
 
 @dataclass(frozen=True)
@@ -109,6 +104,12 @@ EVENT_CLASSES = ("idle", "wifi-success", "laa-success",
                  "wifi-collision", "laa-collision", "cross-collision")
 
 
+def _class_durations(s: Scenario) -> tuple[float, ...]:
+    """The duration of each EVENT_CLASSES class, idle being one slot."""
+    d = event_durations(s)
+    return s.wifi.slot_us, d.t_sw, d.t_sl, d.t_cw, d.t_cl, d.t_cc
+
+
 def simulate(cfg: SimConfig) -> SimReport:
     """Run the protocol with the scenario's cross-network energy detection.
 
@@ -121,9 +122,6 @@ def simulate(cfg: SimConfig) -> SimReport:
     """
     s = cfg.scenario.effective()
     n_w, n_l = s.n_wifi, s.n_laa
-
-    if cfg.trace_path:
-        _write_trace(cfg.trace_path, s, cfg.horizon_events, cfg.seed)
 
     # Per network, indexed by stage j: the stage a collision at j moves to
     # (the next one, or 0 after the last stay at the top window) with its
@@ -284,10 +282,9 @@ def _report(s, batches) -> SimReport:
     """Measure the counted batches: each holds its event count, attempts and
     chain collisions per network, then its busy events per class."""
     n_w, n_l = s.n_wifi, s.n_laa
-    d = event_durations(s)
+    _, t_sw, t_sl, t_cw, t_cl, t_cc = durations = _class_durations(s)
     bit_w, bit_l = payload_bits(s)
-    time_of = _exact_dot((s.wifi.slot_us, d.t_sw, d.t_sl, d.t_cw, d.t_cl,
-                          d.t_cc))
+    time_of = _exact_dot(durations)
     b_events, b_att_w, b_att_l, b_col_w, b_col_l, *busy = zip(*batches)
     # per batch, events per EVENT_CLASSES class: idle is what is not busy
     b_counts = [(n - sum(b), *b) for n, *b in zip(b_events, *busy)]
@@ -325,8 +322,8 @@ def _report(s, batches) -> SimReport:
         p_sw=n_sw / (n_sw + n_cw) if n_sw + n_cw else 0.0,
         p_trl=(n_sl + n_cl + n_cc) / events,
         p_sl=n_sl / (n_sl + n_cl) if n_sl + n_cl else 0.0,
-        t_sw_us=d.t_sw, t_cw_us=d.t_cw, t_sl_us=d.t_sl, t_cl_us=d.t_cl,
-        t_cc_us=d.t_cc, t_e_us=total_time / events,
+        t_sw_us=t_sw, t_cw_us=t_cw, t_sl_us=t_sl, t_cl_us=t_cl,
+        t_cc_us=t_cc, t_e_us=total_time / events,
         tput_wifi_mbps=tput_w, tput_laa_mbps=tput_l,
         per_user_wifi_mbps=tput_w / n_w if n_w else 0.0,
         per_user_laa_mbps=tput_l / n_l if n_l else 0.0,
@@ -351,8 +348,8 @@ def _replay(s: Scenario, horizon: int, seed: int):
     chains, a (Wi-Fi, LAA) pair. Windows from ``Scenario.chains()`` and the
     float coin ``p * 2.0 ** 64`` keep it apart from ``simulate``'s tables."""
     draw = _draws(seed).__next__
-    n_w = s.n_wifi
-    chains = [s.chains()[0]] * n_w + [s.chains()[1]] * s.n_laa
+    (chain_w, chain_l), n_w = s.chains(), s.n_wifi
+    chains = [chain_w] * n_w + [chain_l] * s.n_laa
 
     def counter(i, j):
         w0, m, _ = chains[i]
@@ -398,20 +395,21 @@ def _replay(s: Scenario, horizon: int, seed: int):
         yield cls, *begun, tuple(collided)
 
 
-def _write_trace(path: str, s: Scenario, horizon: int, seed: int) -> None:
-    """Write the per-event CSV dump of ``_replay``: index, class, duration,
-    then each station's stage and counter as the event begins."""
-    d = event_durations(s)      # formatted once; csv writes a str as is
-    duration = dict(zip(EVENT_CLASSES, map(str, (
-        s.wifi.slot_us, d.t_sw, d.t_sl, d.t_cw, d.t_cl, d.t_cc))))
+def write_trace(out, cfg: SimConfig) -> None:
+    """Write the per-event CSV dump of ``cfg``'s run, from ``_replay``, to
+    the open text file ``out``: index, class, duration, then each station's
+    stage and counter as the event begins."""
+    s = cfg.scenario.effective()
+    # formatted once; a float's str is what csv would write
+    duration = dict(zip(EVENT_CLASSES, map(str, _class_durations(s))))
     header = ["event_index", "event_class", "duration_us", *(
         f"{net}{i}_{col}" for net, n in (("w", s.n_wifi), ("l", s.n_laa))
         for i in range(n) for col in ("stage", "counter"))]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(header)
-        row = [None] * len(header)
-        for k, (cls, stage, count, _) in enumerate(_replay(s, horizon, seed)):
-            row[:3] = k, cls, duration[cls]
-            row[3::2], row[4::2] = stage, count
-            out.writerow(row)
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    row = [None] * len(header)
+    for k, (cls, stage, count, _) in enumerate(
+            _replay(s, cfg.horizon_events, cfg.seed)):
+        row[:3] = k, cls, duration[cls]
+        row[3::2], row[4::2] = stage, count
+        writer.writerow(row)

@@ -398,13 +398,21 @@ class TestSweepCommand:
 
 
 class TestOutputHandling:
-    def test_out_file_and_env_dir(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path))
+    # a relative path of either flag lands in $LAACOEX_OUT_DIR, not the cwd
+    @pytest.mark.parametrize("flag", ["--out", "--trace"])
+    def test_out_file_and_env_dir(self, tmp_path, capsys, monkeypatch, flag):
+        out_dir, cwd = tmp_path / "out", tmp_path / "cwd"
+        out_dir.mkdir()
+        cwd.mkdir()
+        monkeypatch.setenv(cli.OUT_DIR_ENV, str(out_dir))
+        monkeypatch.chdir(cwd)
         code, out, _ = run_cli(capsys, "run", "table4_case3",
-                               "--out", "row.csv")
+                               "--engine", "simulate", "--horizon", "2000",
+                               "--warmup", "100", flag, "row.csv")
         assert code == 0
-        assert out == ""
-        assert (tmp_path / "row.csv").exists()
+        assert (out == "") == (flag == "--out")
+        assert (out_dir / "row.csv").stat().st_size > 0
+        assert list(cwd.iterdir()) == []
 
     def test_absolute_out_ignores_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path / "elsewhere"))
@@ -423,6 +431,31 @@ class TestOutputHandling:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {flag}: ") and target in err
+
+    def test_unwritable_out_fails_before_the_run(self, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        code, out, err = run_cli(capsys, "run", "table4_case3",
+                                 "--engine", "simulate",
+                                 "--out", str(tmp_path / "missing" / "x.csv"),
+                                 "--trace", str(trace))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --out: ")
+        assert not trace.exists()
+
+    # the same file after $LAACOEX_OUT_DIR: refused before either is opened
+    def test_out_and_trace_must_differ(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path))
+        target = tmp_path / "same.csv"
+        target.write_text("kept\n")
+        code, out, err = run_cli(capsys, "run", "table4_case3",
+                                 "--engine", "simulate", "--horizon", "2000",
+                                 "--warmup", "100", "--out", "same.csv",
+                                 "--trace", str(target))
+        assert code == 2
+        assert out == ""
+        assert "--out" in err and "--trace" in err
+        assert target.read_text() == "kept\n"
 
     def test_repeat_runs_byte_identical(self, tmp_path, capsys):
         args = ("run", "table4_case3", "--engine", "both",
@@ -495,6 +528,28 @@ class TestPresets:
         assert code == 2
         assert out == ""
         assert "--trace" in err
+
+    def test_trace_refuses_stdout(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "run", "table4_case3",
+                                 "--engine", "simulate", "--horizon", "2000",
+                                 "--warmup", "100", "--trace", "-")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --trace")
+        assert list(tmp_path.iterdir()) == []
+
+    # writing the trace draws nothing from the run's stream: comparison
+    # mode, and detection coins outside it
+    @pytest.mark.parametrize("preset", ["table4_case3", "table7"])
+    def test_trace_leaves_the_csv_unchanged(self, tmp_path, capsys, preset):
+        args = ("run", preset, "--engine", "simulate", "--horizon", "20000",
+                "--warmup", "1000", "--seed", "6")
+        plain = run_cli(capsys, *args)
+        traced = run_cli(capsys, *args, "--trace", str(tmp_path / "t.csv"))
+        assert plain[0] == traced[0] == 0
+        assert plain[1] == traced[1]
+        assert (tmp_path / "t.csv").stat().st_size > 0
 
     def test_node_split_extremes(self, tmp_path, capsys):
         # all-LAA and all-Wi-Fi splits are legal sweep points
