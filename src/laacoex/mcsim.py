@@ -11,22 +11,27 @@ transmission to the next and touches only the transmitters. A binary heap
 keyed by (index, station) is the only record of those indices, so each
 transmitter costs O(log n) rather than a scan of all n stations, stations
 that share an event leave it by station number, which is the draw order
-below. The stations of a network share one table of windows per stage. A
-lone transmitter always succeeds and draws no detection coin, so it takes a
-short path; a collision walks the heap's root in place, one replace per
-transmitter, Wi-Fi's and then LAA's, and reads whether a network's first
-transmitter is its only one off the runner-up key. A detection coin compares
-its draw with the integer ceil(p_d * 2**64). The loop only counts: a batch
-closes with its event count and its per-class and per-network counts, idle
-being its events minus its busy ones. Time and payload bits are formed from
-the counts when the run ends, each batch's time as the exact sum of count
-times duration over the six classes, rounded once. The warmup is batch 0,
-counted like the others and dropped at the end. One seeded PCG64 stream
-feeds every draw in a fixed order, so a configuration is bit-reproducible:
-initial counters Wi-Fi then LAA; per event the Wi-Fi transmitters by index,
-then the LAA ones, each drawing its detection coin (when one is needed)
-before its new counter. ``simulate`` writes nothing: ``write_trace`` dumps
-a run from ``_replay``, a plain per-event loop on its own copy of the stream.
+below. A transmitter's key is advanced in place, by its new counter plus one
+in the index field, and the batch edge is compared as a key, so the loop
+splits a key only to close a batch. The stations of a network share one
+table of windows per stage. A lone transmitter always succeeds and draws no
+detection coin, so it takes a short path; a collision walks the heap's root
+in place, one replace per transmitter, Wi-Fi's and then LAA's. A network
+whose p_d is below 1 reads whether its first transmitter is its only one off
+the runner-up key; at p_d = 1 nothing hangs on that, so it is not tested. A
+detection coin compares its draw with the integer ceil(p_d * 2**64). The
+loop only counts: a batch closes with its event count and its per-class and
+per-network counts, idle being its events minus its busy ones and chain
+collisions a network's attempts in collision events minus its undetected
+lone stations. Time and payload bits are formed from the counts when the
+run ends, each batch's time as the exact sum of count times duration over
+the six classes, rounded once. The warmup is batch 0, counted like the
+others and dropped at the end. One seeded PCG64 stream feeds every draw in
+a fixed order, so a configuration is bit-reproducible: initial counters
+Wi-Fi then LAA; per event the Wi-Fi transmitters by index, then the LAA
+ones, each drawing its detection coin (when one is needed) before its new
+counter. ``simulate`` writes nothing: ``write_trace`` dumps a run from
+``_replay``, a plain per-event loop on its own copy of the stream.
 """
 from __future__ import annotations
 
@@ -140,18 +145,21 @@ def simulate(cfg: SimConfig) -> SimReport:
     # A network's lone station in a cross collision goes undetected (its
     # chain records a success) for certain at p_d = 0, never at 1, else when
     # its draw is >= ceil(p_d * 2**64): an int compares with a float exactly,
-    # so it splits the draws as the float p_d * 2**64 does.
+    # so it splits the draws as the float p_d * 2**64 does. Only a blind
+    # network (p_d < 1) asks whether its station is lone.
     miss_w, miss_l = s.p_dw == 0.0, s.p_dl == 0.0
     coin_w, coin_l = (math.ceil(p * 2.0 ** 64) if 0.0 < p < 1.0 else 0
                       for p in (s.p_dw, s.p_dl))
+    blind_w, blind_l = s.p_dw < 1.0, s.p_dl < 1.0
 
     horizon, warmup = cfg.horizon_events, cfg.warmup_events
     # Heap of (fire << shift) | station, fire being the absolute index of
     # the station's next transmission: the least key is the next
     # transmitter, and at a tie the lower station, so stations that share an
-    # event come off in draw order. Two sentinels at the horizon keep
-    # heap[1] and heap[2] defined, for the lone test and for a collision's
-    # runner-up test alike; the run ends before either reaches the root.
+    # event come off in draw order; a transmitter at t with new counter b
+    # fires at t + 1 + b, so its key grows by b + 1 << shift. Two sentinels
+    # at the horizon keep heap[1] and heap[2] defined, for the lone and the
+    # runner-up tests; the run ends before either reaches the root.
     shift = (n_w + n_l).bit_length()
     low = (1 << shift) - 1      # the station field of a key
     draw = _draws(cfg.seed).__next__
@@ -159,101 +167,93 @@ def simulate(cfg: SimConfig) -> SimReport:
     heap = [horizon << shift | low] * 2
     for i in range(n_w + n_l):
         width, mask = (width_w, mask_w) if i < n_w else (width_l, mask_l)
-        backoff = draw() & mask
-        while backoff >= width:
-            backoff = draw() & mask
+        while (backoff := draw() & mask) >= width:
+            pass
         heap.append(backoff << shift | i)
     heapify(heap)
     n_batches = min(_BATCHES, horizon - warmup)
     batch_size = (horizon - warmup) // n_batches
-    # Batch k ends before event ends[k]: batch 0 is the warmup, the last ends
-    # at the horizon, and the sentinel is never reached.
+    # Batch k ends before event ends[k], whose least key is end_key: batch 0
+    # is the warmup, the last ends at the horizon, the next is never reached.
     next_end = iter([warmup + k * batch_size for k in range(n_batches)]
-                    + [horizon, math.inf]).__next__
+                    + [horizon, horizon + 1]).__next__
     b_start, b_end = 0, next_end()
+    end_key = b_end << shift
     batches = []
-    # Counts of the open batch: successes and attempts in collision events
-    # per network, chain collisions per network, collision events per kind
-    n_sw = n_sl = att_w = att_l = col_w = col_l = n_cw = n_cl = n_cc = 0
+    # Counts of the open batch: successes, attempts in collision events and
+    # undetected lone stations (every other attempt in a collision event is
+    # a chain collision) per network, then collision events per kind
+    n_sw = n_sl = att_w = att_l = und_w = und_l = n_cw = n_cl = n_cc = 0
 
     while True:
         key = heap[0]
-        t = key >> shift
-        if t >= b_end:          # b_end <= horizon until the last batch closes
+        if key >= end_key:      # end_key <= horizon << shift until the end
+            t = key >> shift
             while b_end <= t:   # close every batch that ends by this event
                 batches.append((b_end - b_start, n_sw + att_w, n_sl + att_l,
-                                col_w, col_l, n_sw, n_sl, n_cw, n_cl, n_cc))
-                n_sw = n_sl = att_w = att_l = col_w = col_l = 0
+                                att_w - und_w, att_l - und_l,
+                                n_sw, n_sl, n_cw, n_cl, n_cc))
+                n_sw = n_sl = att_w = att_l = und_w = und_l = 0
                 n_cw = n_cl = n_cc = 0
                 b_start, b_end = b_end, next_end()
             if t >= horizon:
                 break
-        idx = t + 1             # also where every new counter starts
+            end_key = b_end << shift
 
-        last = key | low        # the largest key that fires at t
+        last = key | low        # the largest key that fires with this one
         if heap[1] > last and heap[2] > last:   # lone: no rival, no coin
             i = key & low
             stage[i] = 0
             if i < n_w:
                 n_sw += 1
-                width, mask = width_w, mask_w
+                while (backoff := draw() & mask_w) >= width_w:
+                    pass
             else:
                 n_sl += 1
-                width, mask = width_l, mask_l
-            backoff = draw() & mask
-            while backoff >= width:
-                backoff = draw() & mask
-            heapreplace(heap, (idx + backoff) << shift | i)
-        else:
-            # A collision walks the root: each transmitter's new key lies
-            # past last, so the next root is the next station that fires at
-            # t, in station order, Wi-Fi's keys at t all below split and
-            # LAA's from it. A network's first transmitter is its only one,
-            # and so may go undetected in what must be a cross collision,
-            # when the runner-up key, the lesser child of the root, is not
-            # its network's at t.
-            split = last ^ low | n_w    # the least LAA key at t
-            n_wt = n_lt = 0
-            if key < split:
-                tab = tab_w
-                if (heap[1] if heap[1] < heap[2] else heap[2]) >= split and (
-                        miss_w or coin_w and draw() >= coin_w):
-                    tab = reset_w
-                while key < split:
-                    i = key & low
-                    width, mask, stage[i] = tab[stage[i]]
-                    backoff = draw() & mask
-                    while backoff >= width:
-                        backoff = draw() & mask
-                    heapreplace(heap, (idx + backoff) << shift | i)
-                    n_wt += 1
-                    key = heap[0]
-                att_w += n_wt
-                if tab is tab_w:
-                    col_w += n_wt
-            if key <= last:     # with no Wi-Fi, LAA has two or more
-                tab = tab_l
-                if (heap[1] if heap[1] < heap[2] else heap[2]) > last and (
-                        miss_l or coin_l and draw() >= coin_l):
-                    tab = reset_l
-                while key <= last:
-                    i = key & low
-                    width, mask, stage[i] = tab[stage[i]]
-                    backoff = draw() & mask
-                    while backoff >= width:
-                        backoff = draw() & mask
-                    heapreplace(heap, (idx + backoff) << shift | i)
-                    n_lt += 1
-                    key = heap[0]
-                att_l += n_lt
-                if tab is tab_l:
-                    col_l += n_lt
-            if not n_lt:
+                while (backoff := draw() & mask_l) >= width_l:
+                    pass
+            heapreplace(heap, key + (backoff + 1 << shift))
+            continue
+        # A collision walks the root: each transmitter's new key lies past
+        # last, so the next root is the next station that fires with it, in
+        # station order, Wi-Fi's keys all below split and LAA's from it. A
+        # blind network's first transmitter is its only one, and so may go
+        # undetected in what must be a cross collision, when the runner-up
+        # key, the lesser of the root's children, is not its network's.
+        split = last ^ low | n_w    # the least LAA key of the event
+        if key < split:
+            tab = tab_w
+            if blind_w and heap[1] >= split and heap[2] >= split and (
+                    miss_w or coin_w and draw() >= coin_w):
+                tab = reset_w
+                und_w += 1
+            while key < split:
+                i = key & low
+                width, mask, stage[i] = tab[stage[i]]
+                while (backoff := draw() & mask) >= width:
+                    pass
+                heapreplace(heap, key + (backoff + 1 << shift))
+                att_w += 1
+                key = heap[0]
+            if key > last:
                 n_cw += 1
-            elif not n_wt:
-                n_cl += 1
-            else:
-                n_cc += 1
+                continue
+            n_cc += 1
+        else:                   # with no Wi-Fi, LAA has two or more
+            n_cl += 1
+        tab = tab_l
+        if blind_l and heap[1] > last and heap[2] > last and (
+                miss_l or coin_l and draw() >= coin_l):
+            tab = reset_l
+            und_l += 1
+        while key <= last:
+            i = key & low
+            width, mask, stage[i] = tab[stage[i]]
+            while (backoff := draw() & mask) >= width:
+                pass
+            heapreplace(heap, key + (backoff + 1 << shift))
+            att_l += 1
+            key = heap[0]
 
     return _report(s, batches[1:])
 

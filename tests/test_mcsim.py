@@ -62,7 +62,9 @@ class TestReferenceStream:
     tables that preceded the per-network ones, and the two asymmetric
     collisions ("1+6-wifi-coin", "6+1-laa-retries") from the count-only
     loop that popped and pushed every transmitter of a collision, before
-    the loop walked the heap's root in place: event counts in
+    the loop walked the heap's root in place, and the last two (a network
+    with p_d = 1 beside one with p_d < 1) from that walk, before it kept
+    its runner-up test to networks whose detection can fail: event counts in
     EVENT_CLASSES order, then ``float.hex`` of the six measured
     quantities and of the six standard errors (keys sorted). Any change to
     the draw order, mask-and-reject, the detection coin, the warmup and
@@ -172,6 +174,16 @@ class TestReferenceStream:
                               laa=LaaParams(w0=8, m=1, retry_limit=3),
                               p_dl=0.77),
             horizon_events=30_000, seed=28, warmup_events=3_000)),
+        # a network that draws its coin beside one whose p_d is 1 and so
+        # skips the runner-up test, then a blind one (p_d = 0, no coin)
+        # beside a certain one: collisions of every make-up on both
+        "wifi-coin-laa-certain": (simulate, SimConfig(
+            scenario=replace(class1_scenario(4, 2), p_dw=0.546),
+            horizon_events=30_000, seed=29, warmup_events=3_000)),
+        "laa-blind-wifi-certain": (simulate, SimConfig(
+            scenario=Scenario(n_wifi=3, n_laa=3, wifi=WifiParams(w0=8, m=2),
+                              laa=LaaParams(w0=8, m=1), p_dw=1.0, p_dl=0.0),
+            horizon_events=30_000, seed=30, warmup_events=3_000)),
     }
 
     EXPECTED = {
@@ -270,6 +282,16 @@ class TestReferenceStream:
             "0x1.4cc3174959471p-3", "0x1.1e07b4f38942fp-1", "0x1.9b0c144ea9581p-2",
             "0x1.cf2c10a0d89bep-8", "0x1.a8ea09c49e4a5p-9", "0x1.adb77637413d3p-10",
             "0x1.2d27954d6083ep-11", "0x1.17a0219d05fdap-5", "0x1.74a34a404b7b2p-6")),
+        "wifi-coin-laa-certain": ((3296, 5583, 2724, 4717, 560, 10120), (
+            "0x1.f11a3115b209fp+0", "0x1.ace1231ea9bedp-1", "0x1.316872b020c4ap-2",
+            "0x1.2a49938827716p-2", "0x1.8027aca54737fp-1", "0x1.a755f66e363a2p-1",
+            "0x1.9739770368c2ep-9", "0x1.2af47b6eb650bp-9", "0x1.3f011e00db0b2p-10",
+            "0x1.bc98e376535d0p-11", "0x1.f596b6bda103ep-7", "0x1.5acd8a4c38633p-6")),
+        "laa-blind-wifi-certain": ((10529, 4235, 6409, 606, 1543, 3678), (
+            "0x1.47f9ff0097fabp-1", "0x1.b6d55639b0e2dp+1", "0x1.e60212c2bcab4p-4",
+            "0x1.62f61d2d7c5f3p-3", "0x1.1e644fcd48e73p-1", "0x1.5318b553f8c77p-2",
+            "0x1.417cc1b2a9bf5p-8", "0x1.1f98ed98bcfb9p-8", "0x1.f1ce501dfde80p-11",
+            "0x1.c460a551b1f9bp-11", "0x1.b65bfcec4f420p-6", "0x1.6682a28b2f2e8p-7")),
     }
 
     @pytest.mark.parametrize("name", sorted(RUNS))
@@ -308,21 +330,25 @@ class TestReferenceStream:
 class TestAgainstReferenceLoop:
     """The event-driven heap loop against ``mcsim._replay``, a plain loop
     over the same draws: every count must agree, whatever the collisions'
-    make-up. The examples are the TestTrace dumps, whose hashes pin both."""
+    make-up. The first four examples are the TestTrace dumps, whose hashes
+    pin both."""
 
     @settings(max_examples=40, deadline=None)
     @given(n_w=st.integers(0, 6), n_l=st.integers(0, 6),
            w0_w=st.integers(1, 12), m_w=st.integers(0, 3),
            w0_l=st.integers(1, 12), m_l=st.integers(0, 3),
            retry_limit=st.integers(0, 3), comparison_mode=st.booleans(),
-           p_dw=st.sampled_from((0.0, 0.3, 0.77, 1.0)),
-           p_dl=st.sampled_from((0.0, 0.3, 0.77, 1.0)),
+           p_dw=st.sampled_from((0.0, 0.3, 0.546, 0.77, 1.0)),
+           p_dl=st.sampled_from((0.0, 0.3, 0.546, 0.77, 1.0)),
            horizon=st.integers(1, 3_000), warmup_share=st.floats(0, 0.5),
            seed=st.integers(0, 2 ** 32))
     @example(1, 1, 16, 2, 16, 2, 1, True, 1.0, 1.0, 500, 0.0, 2)
     @example(5, 5, 16, 2, 16, 2, 1, True, 0.546, 0.546, 500, 0.0, 2)
     @example(2, 2, 8, 2, 8, 1, 2, False, 1.0, 1.0, 500, 0.0, 2)
     @example(1, 6, 8, 2, 8, 2, 1, True, 0.3, 0.546, 500, 0.0, 2)
+    # the bench's shapes: sim-dense's 20+20 with class-4 LAA, C6's 4+2
+    @example(20, 20, 16, 6, 16, 6, 1, False, 0.546, 0.546, 2_000, 0.1, 3)
+    @example(4, 2, 4, 1, 4, 1, 1, True, 1.0, 1.0, 2_000, 0.1, 4)
     def test_counts_match_reference_loop(self, n_w, n_l, w0_w, m_w, w0_l,
                                          m_l, retry_limit, comparison_mode,
                                          p_dw, p_dl, horizon, warmup_share,
