@@ -18,10 +18,9 @@ table of windows per stage. A lone transmitter always succeeds and draws no
 detection coin, so it takes a short path; a collision walks the heap's root
 in place, one replace per transmitter, Wi-Fi's and then LAA's. A network
 whose p_d is below 1 reads whether its first transmitter is its only one off
-the runner-up key; at p_d = 1 nothing hangs on that, so it is not tested. A
-detection coin compares its draw with the integer ceil(p_d * 2**64). The
-loop only counts: a batch closes with its event count and its per-class and
-per-network counts, idle being its events minus its busy ones and chain
+the runner-up key; at p_d = 1 nothing hangs on that, so it is not tested.
+The loop only counts: a batch closes with its event count and its per-class
+and per-network counts, idle being its events minus its busy ones and chain
 collisions a network's attempts in collision events minus its undetected
 lone stations. Time and payload bits are formed from the counts when the
 run ends, each batch's time as the exact sum of count times duration over
@@ -30,8 +29,12 @@ others and dropped at the end. One seeded PCG64 stream feeds every draw in
 a fixed order, so a configuration is bit-reproducible: initial counters
 Wi-Fi then LAA; per event the Wi-Fi transmitters by index, then the LAA
 ones, each drawing its detection coin (when one is needed) before its new
-counter. ``simulate`` writes nothing: ``write_trace`` dumps a run from
-``_replay``, a plain per-event loop on its own copy of the stream.
+counter. A draw is only masked, or compared with a coin's bound, the
+integer ceil(p_d * 2**64), so ``simulate`` reads it packed into a small int:
+its bits under the widest mask and, above them, how many bounds it reaches
+(raw where the two do not fit in 64 bits). ``simulate`` writes nothing:
+``write_trace`` dumps a run from ``_replay``, a plain per-event loop on its
+own raw copy of the stream, whose coin compares with the float p_d * 2**64.
 """
 from __future__ import annotations
 
@@ -39,9 +42,9 @@ import csv
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial
 from heapq import heapify, heapreplace
-from itertools import chain, repeat
+from itertools import chain
+from operator import mul
 
 import numpy as np
 
@@ -51,18 +54,26 @@ from .throughput import event_durations, payload_bits
 
 _BATCHES = 100          # batch-means groups for standard-error estimates
 MAX_STATIONS = 1024     # larger runs are refused before any list is built
-# uint64 draws fetched from the generator at a time. Each is one raw PCG64
-# output, so the stream does not depend on it; 30k events at 2-6 stations
-# take 6k-53k draws.
+# Raw PCG64 outputs fetched from the generator, and packed, at a time. Each
+# draw is one output, so the stream does not depend on it; 30k events at 2-6
+# stations take 6k-53k draws.
 _POOL_CHUNK = 1 << 12
 
 
-def _draws(seed: int):
-    """Endless iterator over PCG64 uint64 draws, fetched a chunk at a time."""
-    gen = np.random.Generator(np.random.PCG64(seed))
-    chunks = map(partial(gen.integers, 0, 1 << 64, dtype=np.uint64),
-                 repeat(_POOL_CHUNK))
-    return chain.from_iterable(map(np.ndarray.tolist, chunks))
+def _pack(raw, bits, bounds):
+    """Each uint64 of ``raw`` with its low ``bits`` bits kept and, above
+    them, its rank: how many of the sorted ``bounds`` it reaches."""
+    rank = np.searchsorted(np.array(bounds, np.uint64), raw, "right")
+    return raw & (1 << bits) - 1 | rank.astype(np.uint64) << bits
+
+
+def _draws(seed: int, bits: int = 64, bounds=()):
+    """Endless iterator over PCG64's uint64 outputs, packed by ``_pack`` a
+    chunk at a time into Python ints. The defaults, all 64 bits and no
+    bounds, give the raw outputs."""
+    gen = np.random.PCG64(seed)
+    return chain.from_iterable(iter(lambda: _pack(
+        gen.random_raw(_POOL_CHUNK), bits, bounds).tolist(), None))
 
 
 @dataclass(frozen=True)
@@ -151,6 +162,14 @@ def simulate(cfg: SimConfig) -> SimReport:
     coin_w, coin_l = (math.ceil(p * 2.0 ** 64) if 0.0 < p < 1.0 else 0
                       for p in (s.p_dw, s.p_dl))
     blind_w, blind_l = s.p_dw < 1.0, s.p_dl < 1.0
+    # The loop reads packed draws (_pack): the coin at the k-th bound is
+    # k << bits. Where they do not fit in 64 bits, all stay raw.
+    bits = max(mask for _, mask, _ in tab_w + tab_l).bit_length()
+    bounds = sorted({coin_w, coin_l} - {0})
+    if bits + len(bounds).bit_length() > 64:
+        bits, bounds = 64, []
+    coin_w, coin_l = (bounds.index(c) + 1 << bits if c in bounds else c
+                      for c in (coin_w, coin_l))
 
     horizon, warmup = cfg.horizon_events, cfg.warmup_events
     # Heap of (fire << shift) | station, fire being the absolute index of
@@ -162,7 +181,7 @@ def simulate(cfg: SimConfig) -> SimReport:
     # runner-up tests; the run ends before either reaches the root.
     shift = (n_w + n_l).bit_length()
     low = (1 << shift) - 1      # the station field of a key
-    draw = _draws(cfg.seed).__next__
+    draw = _draws(cfg.seed, bits, bounds).__next__
     stage = [0] * (n_w + n_l)
     heap = [horizon << shift | low] * 2
     for i in range(n_w + n_l):
@@ -272,7 +291,7 @@ def _exact_dot(weights):
 
     def dot(counts) -> float:
         try:
-            return sum(c * n for c, n in zip(counts, nums)) / den
+            return sum(map(mul, counts, nums)) / den
         except OverflowError:   # the exact sum lies beyond the largest float
             return math.inf
     return dot
@@ -300,20 +319,21 @@ def _report(s, batches) -> SimReport:
     def per_batch(num, den, scale=1.0):
         return [n / (d * scale) if d else 0.0 for n, d in zip(num, den)]
 
+    # a network with no stations attempts nothing: its tau row is all 0.0
     batch_metrics = {
         "tput_wifi_mbps": per_batch(b_bits_w, b_time),
         "tput_laa_mbps": per_batch(b_bits_l, b_time),
-        "tau_w": per_batch(b_att_w, b_events, n_w) if n_w else [0.0],
-        "tau_l": per_batch(b_att_l, b_events, n_l) if n_l else [0.0],
+        "tau_w": per_batch(b_att_w, b_events, n_w or 1),
+        "tau_l": per_batch(b_att_l, b_events, n_l or 1),
         "p_w": per_batch(b_col_w, b_att_w),
         "p_l": per_batch(b_col_l, b_att_l),
     }
     # an overflowing spread is reported as a non-finite value below, not
     # as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        stderr = {name: float(np.std(values, ddof=1) / math.sqrt(len(values)))
-                  if len(values) > 1 else 0.0
-                  for name, values in batch_metrics.items()}
+        spread = (np.std(list(batch_metrics.values()), axis=1, ddof=1)
+                  / math.sqrt(len(batches)) if len(batches) > 1 else [0.0] * 6)
+    stderr = dict(zip(batch_metrics, map(float, spread)))
 
     _, n_sw, n_sl, n_cw, n_cl, n_cc = counts.values()
     tput_w, tput_l = n_sw * bit_w / total_time, n_sl * bit_l / total_time

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 from laacoex.core import (LaaParams, Scenario, ThroughputReport, WifiParams,
                           derived_durations, load_priority_class)
-from laacoex.mcsim import (EVENT_CLASSES, MAX_STATIONS, SimConfig,
-                           _exact_dot, _replay, simulate, write_trace)
+from laacoex.mcsim import (_POOL_CHUNK, EVENT_CLASSES, MAX_STATIONS,
+                           SimConfig, _draws, _exact_dot, _pack, _replay,
+                           simulate, write_trace)
 from laacoex.solver import solve_coexistence
 from laacoex.throughput import (coexistence_throughput, event_durations,
                                 event_probabilities)
@@ -64,9 +65,12 @@ class TestReferenceStream:
     loop that popped and pushed every transmitter of a collision, before
     the loop walked the heap's root in place, and the last two (a network
     with p_d = 1 beside one with p_d < 1) from that walk, before it kept
-    its runner-up test to networks whose detection can fail: event counts in
-    EVENT_CLASSES order, then ``float.hex`` of the six measured
-    quantities and of the six standard errors (keys sorted). Any change to
+    its runner-up test to networks whose detection can fail, and the last
+    three (top windows of 2**62 and 2**63 beside two coins, and coin bounds
+    at 1 and 2**64 - 2**11) from that loop, before ``simulate`` read its
+    draws packed into small ints: event counts in EVENT_CLASSES order,
+    then ``float.hex`` of the six measured quantities and of the six
+    standard errors (keys sorted). Any change to
     the draw order, mask-and-reject, the detection coin, the warmup and
     batch split, or the way times are summed shows up here. Never re-seed
     to make a case pass.
@@ -184,6 +188,22 @@ class TestReferenceStream:
             scenario=Scenario(n_wifi=3, n_laa=3, wifi=WifiParams(w0=8, m=2),
                               laa=LaaParams(w0=8, m=1), p_dw=1.0, p_dl=0.0),
             horizon_events=30_000, seed=30, warmup_events=3_000)),
+        # two coins beside a top Wi-Fi window of 2**62: 62 mask bits and 2
+        # rank bits fill a packed draw's 64; at 2**63 they would not, and
+        # the draws stay raw
+        "wide-window-coin": (simulate, SimConfig(
+            scenario=Scenario(n_wifi=2, n_laa=2, wifi=WifiParams(w0=4, m=60),
+                              laa=load_priority_class(1), p_dw=0.3, p_dl=0.77),
+            horizon_events=30_000, seed=31, warmup_events=3_000)),
+        "wide-window-coin-raw": (simulate, SimConfig(
+            scenario=Scenario(n_wifi=2, n_laa=2, wifi=WifiParams(w0=4, m=61),
+                              laa=load_priority_class(1), p_dw=0.3, p_dl=0.77),
+            horizon_events=30_000, seed=32, warmup_events=3_000)),
+        # the coin bounds at their ends, 1 and 2**64 - 2**11
+        "coin-extremes": (simulate, SimConfig(
+            scenario=Scenario(n_wifi=3, n_laa=3, p_dw=5e-324,
+                              p_dl=math.nextafter(1.0, 0.0)),
+            horizon_events=30_000, seed=33, warmup_events=3_000)),
     }
 
     EXPECTED = {
@@ -292,6 +312,21 @@ class TestReferenceStream:
             "0x1.62f61d2d7c5f3p-3", "0x1.1e644fcd48e73p-1", "0x1.5318b553f8c77p-2",
             "0x1.417cc1b2a9bf5p-8", "0x1.1f98ed98bcfb9p-8", "0x1.f1ce501dfde80p-11",
             "0x1.c460a551b1f9bp-11", "0x1.b65bfcec4f420p-6", "0x1.6682a28b2f2e8p-7")),
+        "wide-window-coin": ((8225, 4718, 6797, 553, 1485, 5222), (
+            "0x1.c15ada1aadffap+0", "0x1.1e2dff2d496cbp+1", "0x1.b67fe2df75a57p-3",
+            "0x1.2e5d4c3b2a190p-2", "0x1.3ac37713b4b81p-2", "0x1.077735b4614b6p-1",
+            "0x1.2765936abd5f9p-8", "0x1.bbf7f54471ef8p-8", "0x1.427bb63dc6908p-10",
+            "0x1.989479499d3fap-9", "0x1.af71bebe1ec68p-6", "0x1.8d1c66209d55cp-6")),
+        "wide-window-coin-raw": ((8616, 4528, 7135, 221, 1571, 4929), (
+            "0x1.b5eb8bda732a4p+0", "0x1.310d0cdfc5cf5p+1", "0x1.7f64a7c8c7a46p-3",
+            "0x1.31749594712bcp-2", "0x1.cadeccdef3c4cp-3", "0x1.fe89b1cecbcefp-2",
+            "0x1.375d2fce4c63ap-8", "0x1.425ee9989ad20p-7", "0x1.50a97793c0674p-10",
+            "0x1.cdf2986db7590p-9", "0x1.f0c77e7d28cabp-6", "0x1.c54dd3e310a8ep-6")),
+        "coin-extremes": ((15786, 4982, 3928, 536, 340, 1428), (
+            "0x1.60b97211ef861p+0", "0x1.ebc29155eaf9ap+1", "0x1.8153d0f8cb487p-4",
+            "0x1.373ed4a355961p-4", "0x1.61f721761f721p-3", "0x1.7280da469fa18p-2",
+            "0x1.a0a6959f293b5p-8", "0x1.5250595a58e3bp-8", "0x1.ad174935ea2e8p-11",
+            "0x1.1b8f371d347bbp-10", "0x1.67c0dc9d47d70p-5", "0x1.aaa6fb6c0c41bp-6")),
     }
 
     @pytest.mark.parametrize("name", sorted(RUNS))
@@ -349,6 +384,12 @@ class TestAgainstReferenceLoop:
     # the bench's shapes: sim-dense's 20+20 with class-4 LAA, C6's 4+2
     @example(20, 20, 16, 6, 16, 6, 1, False, 0.546, 0.546, 2_000, 0.1, 3)
     @example(4, 2, 4, 1, 4, 1, 1, True, 1.0, 1.0, 2_000, 0.1, 4)
+    # TestReferenceStream's packed and raw wide windows beside two coins,
+    # and its coin bounds at their ends
+    @example(2, 2, 4, 60, 4, 1, 1, False, 0.3, 0.77, 2_000, 0.1, 31)
+    @example(2, 2, 4, 61, 4, 1, 1, False, 0.3, 0.77, 2_000, 0.1, 32)
+    @example(3, 3, 16, 6, 16, 2, 1, False, 5e-324, math.nextafter(1.0, 0.0),
+             2_000, 0.1, 33)
     def test_counts_match_reference_loop(self, n_w, n_l, w0_w, m_w, w0_l,
                                          m_l, retry_limit, comparison_mode,
                                          p_dw, p_dl, horizon, warmup_share,
@@ -596,6 +637,41 @@ class TestCoinThreshold:
         assert 0 < ceil < 2 ** 64
         for draw in (ceil - 1, ceil):
             self.assert_same_split(p, draw)
+
+
+class TestPackedDraws:
+    """``simulate`` reads each PCG64 output packed by ``_pack``: its bits
+    under the widest mask and, above them, its rank among the coin bounds.
+    Every mask and every coin must read the packed draw as it reads the
+    raw one."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=st.lists(st.integers(0, 2 ** 64 - 1), max_size=8),
+           bits=st.integers(1, 62),
+           bounds=st.lists(st.integers(1, 2 ** 64 - 2 ** 11), max_size=2))
+    def test_packing_keeps_the_masked_bits_and_the_coin_rank(self, raw, bits,
+                                                             bounds):
+        bounds.sort()
+        # the draws either side of each bound, and the ends of the range
+        raw += [x for b in bounds for x in (b - 1, b, b + 1)]
+        raw += [0, 2 ** 64 - 1]
+        packed = _pack(np.array(raw, np.uint64), bits, bounds).tolist()
+        for x, y in zip(raw, packed):
+            for mask in ((1 << width) - 1 for width in range(bits + 1)):
+                assert y & mask == x & mask
+            for k, bound in enumerate(bounds, 1):
+                assert (y >= k << bits) == (x >= bound)
+
+    def test_raw_stream_is_the_generators_uint64_stream(self):
+        n = 2 * _POOL_CHUNK
+        gen = np.random.Generator(np.random.PCG64(7))
+        expected = gen.integers(0, 2 ** 64, n, dtype=np.uint64).tolist()
+        assert list(islice(_draws(7), n)) == expected
+        # a packed stream packs the same outputs, chunk after chunk
+        bounds = [2 ** 62, 3 * 2 ** 62]
+        rank = [sum(x >= b for b in bounds) for x in expected]
+        assert list(islice(_draws(7, 10, bounds), n)) == [
+            x & 1023 | k << 10 for x, k in zip(expected, rank)]
 
 
 class TestExactTwoNodeChain:
