@@ -13,9 +13,8 @@ from .core import (LaaParams, Scenario, Solution, ThroughputReport,
                    scenario_from_dict, scenario_to_dict)
 from .ed import EdConfig, dbm_to_mw, detection_probability
 from .solver import ConvergenceError, SolverConfig, solve_coexistence
-from .throughput import (EventDurations, EventProbabilities,
-                         coexistence_throughput, event_durations,
-                         event_probabilities, expected_event_time,
+from .throughput import (EVENT_CLASSES, coexistence_throughput,
+                         event_durations, event_probabilities, event_weights,
                          wifi_only_throughput)
 
 __all__ = [
@@ -24,9 +23,8 @@ __all__ = [
     "load_priority_class", "derived_durations",
     "scenario_to_dict", "scenario_from_dict",
     "SolverConfig", "ConvergenceError", "solve_coexistence",
-    "EventProbabilities", "EventDurations", "event_probabilities",
-    "event_durations", "expected_event_time", "coexistence_throughput",
-    "wifi_only_throughput",
+    "EVENT_CLASSES", "event_probabilities", "event_weights",
+    "event_durations", "coexistence_throughput", "wifi_only_throughput",
     "EdConfig", "dbm_to_mw", "detection_probability",
     "SimConfig", "SimReport", "simulate",
 ]

@@ -23,7 +23,8 @@ from ._fields import check_keys, check_value
 from .core import (Scenario, ThroughputReport, scenario_from_dict,
                    scenario_to_dict)
 from .solver import ConvergenceError, SolverConfig, solve_coexistence
-from .throughput import coexistence_throughput, wifi_only_throughput
+from .throughput import (EVENT_CLASSES, coexistence_throughput,
+                         wifi_only_throughput)
 
 OUT_DIR_ENV = "LAACOEX_OUT_DIR"
 
@@ -94,6 +95,9 @@ def _scenario_cells(eff: Scenario) -> dict:
 
 _SCENARIO_COLUMNS = tuple(_scenario_cells(Scenario(n_wifi=1, n_laa=0)))
 
+_EVENT_COLUMNS = tuple(f"{cls.replace('-', '_')}_events"
+                       for cls in EVENT_CLASSES)
+
 _RUN_COLUMNS = ("engine",) + _SCENARIO_COLUMNS + (
     "tau_w", "tau_l", "p_w", "p_l", "residual", "iterations",
     "p_trw", "p_sw", "p_trl", "p_sl",
@@ -102,9 +106,7 @@ _RUN_COLUMNS = ("engine",) + _SCENARIO_COLUMNS + (
     "per_user_wifi_mbps", "per_user_laa_mbps",
     "seed", "horizon_events", "warmup_events",
     "stderr_tput_wifi_mbps", "stderr_tput_laa_mbps",
-    "idle_events", "wifi_success_events", "laa_success_events",
-    "wifi_collision_events", "laa_collision_events", "cross_collision_events",
-)
+) + _EVENT_COLUMNS
 
 _SWEEP_COLUMNS = ("axis", "axis_value", "status") + _SCENARIO_COLUMNS + (
     "wifi_only_total_mbps", "wifi_only_per_user_mbps",
@@ -148,8 +150,7 @@ def simulate_row(s: Scenario, seed: int, horizon: int, warmup: int) -> dict:
         warmup_events=warmup,
         stderr_tput_wifi_mbps=sim.stderr["tput_wifi_mbps"],
         stderr_tput_laa_mbps=sim.stderr["tput_laa_mbps"])
-    row.update((f"{cls.replace('-', '_')}_events", count)
-               for cls, count in sim.event_counts.items())
+    row.update(zip(_EVENT_COLUMNS, sim.event_counts.values()))
     return row
 
 
@@ -238,7 +239,27 @@ def _open_output(path: str | None, flag: str):
 
 class _YamlLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     """Safe loader (libyaml when present) reading YAML 1.2 floats: ``8e3``
-    is a float, not YAML 1.1's string; ints resolve first, so 16 stays int."""
+    is a float, not YAML 1.1's string; ints resolve first, so 16 stays int.
+    A key repeated in one mapping is refused, not read as its last value;
+    a key brought in by a ``<<`` merge may still be overridden."""
+
+    def __init__(self, stream):
+        super().__init__(stream)
+        self.flattened = set()  # mapping nodes whose own keys are checked
+
+    def flatten_mapping(self, node):
+        # first called on a mapping before its keys are built, as written;
+        # again, flattened, when a later << merge brings it in
+        if node not in self.flattened:
+            self.flattened.add(node)
+            # a << key builds no object, but may not repeat either
+            keys = [key.value if key.tag == "tag:yaml.org,2002:merge"
+                    else self.construct_object(key) for key, _ in node.value]
+            for i, key in enumerate(keys):
+                if key in keys[:i]:
+                    raise ValueError(f"duplicate key {key!r} at line "
+                                     f"{node.value[i][0].start_mark.line + 1}")
+        super().flatten_mapping(node)
 
 
 _YamlLoader.add_implicit_resolver(

@@ -227,7 +227,10 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 def _params_from_dict(cls, mapping: dict, where: str):
     check_keys(mapping, where, (f.name for f in fields(cls)))
-    return cls(**mapping)
+    try:
+        return cls(**mapping)
+    except ValueError as err:
+        raise ValueError(f"{where}: {err}") from None
 
 
 def _detection_from_block(block: dict, where: str) -> float:
@@ -237,13 +240,16 @@ def _detection_from_block(block: dict, where: str) -> float:
     if "snr_db" in block:
         _require("signal_power_dbm" not in block,
                  f"{where}: give either snr_db or signal_power_dbm, not both")
-        cfg = EdConfig.from_snr(block["threshold_dbm"], block["snr_db"],
-                                block["noise_power_dbm"], block["samples"])
+        build, signal = EdConfig.from_snr, block["snr_db"]
     else:
         _require("signal_power_dbm" in block,
                  f"missing field 'signal_power_dbm' (or 'snr_db') in {where}")
-        cfg = EdConfig(block["threshold_dbm"], block["signal_power_dbm"],
-                       block["noise_power_dbm"], block["samples"])
+        build, signal = EdConfig, block["signal_power_dbm"]
+    try:
+        cfg = build(block["threshold_dbm"], signal, block["noise_power_dbm"],
+                    block["samples"])
+    except ValueError as err:
+        raise ValueError(f"{where}: {err}") from None
     return detection_probability(cfg)
 
 

@@ -36,7 +36,7 @@ class EdConfig:
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         # beyond 300 dBm (1e27 W), 10**(dBm/10) nears overflow or underflow
-        for name in ("threshold_dbm", "signal_power_dbm", "noise_power_dbm"):
+        for name in ("threshold_dbm", "noise_power_dbm", "signal_power_dbm"):
             if abs(getattr(self, name)) > 300.0:
                 raise ValueError(f"{name} must be within +-300 dBm")
 
@@ -46,8 +46,11 @@ class EdConfig:
         """Operating point with the signal power given as SNR over the noise."""
         check_value("snr_db", "float", snr_db)
         check_value("noise_power_dbm", "float", noise_power_dbm)
-        return cls(threshold_dbm, noise_power_dbm + snr_db,
-                   noise_power_dbm, samples)
+        signal_dbm = noise_power_dbm + snr_db
+        if abs(noise_power_dbm) <= 300.0 < abs(signal_dbm):
+            raise ValueError("snr_db must keep noise_power_dbm + snr_db "
+                             "within +-300 dBm")
+        return cls(threshold_dbm, signal_dbm, noise_power_dbm, samples)
 
 
 def detection_probability(c: EdConfig) -> float:

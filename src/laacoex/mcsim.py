@@ -50,7 +50,8 @@ import numpy as np
 
 from ._fields import check_field_types
 from .core import Scenario, ThroughputReport
-from .throughput import event_durations, payload_bits
+from .throughput import (EVENT_CLASSES, _build_report, event_durations,
+                         payload_bits)
 
 _BATCHES = 100          # batch-means groups for standard-error estimates
 MAX_STATIONS = 1024     # larger runs are refused before any list is built
@@ -114,16 +115,6 @@ class SimReport(ThroughputReport):
     p_l: float
     event_counts: dict[str, int]   # per EVENT_CLASSES class
     stderr: dict[str, float]       # batch-means standard errors
-
-
-EVENT_CLASSES = ("idle", "wifi-success", "laa-success",
-                 "wifi-collision", "laa-collision", "cross-collision")
-
-
-def _class_durations(s: Scenario) -> tuple[float, ...]:
-    """The duration of each EVENT_CLASSES class, idle being one slot."""
-    d = event_durations(s)
-    return s.wifi.slot_us, d.t_sw, d.t_sl, d.t_cw, d.t_cl, d.t_cc
 
 
 def simulate(cfg: SimConfig) -> SimReport:
@@ -301,7 +292,7 @@ def _report(s, batches) -> SimReport:
     """Measure the counted batches: each holds its event count, attempts and
     chain collisions per network, then its busy events per class."""
     n_w, n_l = s.n_wifi, s.n_laa
-    _, t_sw, t_sl, t_cw, t_cl, t_cc = durations = _class_durations(s)
+    durations = event_durations(s)
     bit_w, bit_l = payload_bits(s)
     time_of = _exact_dot(durations)
     b_events, b_att_w, b_att_l, b_col_w, b_col_l, *busy = zip(*batches)
@@ -336,17 +327,12 @@ def _report(s, batches) -> SimReport:
     stderr = dict(zip(batch_metrics, map(float, spread)))
 
     _, n_sw, n_sl, n_cw, n_cl, n_cc = counts.values()
-    tput_w, tput_l = n_sw * bit_w / total_time, n_sl * bit_l / total_time
-    report = SimReport(
-        p_trw=(n_sw + n_cw + n_cc) / events,
-        p_sw=n_sw / (n_sw + n_cw) if n_sw + n_cw else 0.0,
-        p_trl=(n_sl + n_cl + n_cc) / events,
-        p_sl=n_sl / (n_sl + n_cl) if n_sl + n_cl else 0.0,
-        t_sw_us=t_sw, t_cw_us=t_cw, t_sl_us=t_sl, t_cl_us=t_cl,
-        t_cc_us=t_cc, t_e_us=total_time / events,
-        tput_wifi_mbps=tput_w, tput_laa_mbps=tput_l,
-        per_user_wifi_mbps=tput_w / n_w if n_w else 0.0,
-        per_user_laa_mbps=tput_l / n_l if n_l else 0.0,
+    report = _build_report(
+        SimReport, s, ((n_sw + n_cw + n_cc) / events,
+                       n_sw / (n_sw + n_cw) if n_sw + n_cw else 0.0,
+                       (n_sl + n_cl + n_cc) / events,
+                       n_sl / (n_sl + n_cl) if n_sl + n_cl else 0.0),
+        durations, (n_sw * bit_w, n_sl * bit_l), total_time, events,
         tau_w=att_w / (n_w * events) if n_w else 0.0,
         tau_l=att_l / (n_l * events) if n_l else 0.0,
         p_w=col_w / att_w if att_w else 0.0,
@@ -421,7 +407,7 @@ def write_trace(out, cfg: SimConfig) -> None:
     stage and counter as the event begins."""
     s = cfg.scenario.effective()
     # formatted once; a float's str is what csv would write
-    duration = dict(zip(EVENT_CLASSES, map(str, _class_durations(s))))
+    duration = dict(zip(EVENT_CLASSES, map(str, event_durations(s))))
     header = ["event_index", "event_class", "duration_us", *(
         f"{net}{i}_{col}" for net, n in (("w", s.n_wifi), ("l", s.n_laa))
         for i in range(n) for col in ("stage", "counter"))]

@@ -1,44 +1,28 @@
-"""Event probabilities, event durations and saturation throughput.
+"""Event classes, probabilities and durations, and saturation throughput.
 
-Each channel event is one of six classes: idle slot, single-network success
-or collision for either technology, or a cross-technology collision. The
-expected event duration weights all six by their probabilities; throughput
-is the payload airtime delivered per expected event duration.
+Each channel event is one of six classes (EVENT_CLASSES): idle slot,
+single-network success or collision for either technology, or a
+cross-technology collision. The expected event duration weights all six by
+their probabilities; throughput is the payload airtime delivered per
+expected event duration. Both engines assemble their reports here.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .core import (Scenario, Solution, ThroughputReport, WifiParams,
                    derived_durations)
 from .solver import SolverConfig, solve_coexistence
 
-
-@dataclass(frozen=True)
-class EventProbabilities:
-    """Per-event transmission and conditional-success probabilities."""
-
-    p_trw: float   # P(at least one Wi-Fi AP transmits)
-    p_sw: float    # P(exactly one Wi-Fi AP | at least one); 0 when p_trw = 0
-    p_trl: float
-    p_sl: float
-
-
-@dataclass(frozen=True)
-class EventDurations:
-    """Channel-occupancy time of each non-idle event class (microseconds)."""
-
-    t_sw: float
-    t_cw: float
-    t_sl: float
-    t_cl: float
-    t_cc: float
+# the six classes of a channel event, in the order of every per-class tuple
+EVENT_CLASSES = ("idle", "wifi-success", "laa-success",
+                 "wifi-collision", "laa-collision", "cross-collision")
 
 
 def event_probabilities(sol: Solution, n_wifi: int,
-                        n_laa: int) -> EventProbabilities:
-    """Transmission/success probabilities for given node counts.
+                        n_laa: int) -> tuple[float, float, float, float]:
+    """(p_trw, p_sw, p_trl, p_sl): per network, the probability that at
+    least one station transmits, and that exactly one does given that.
 
     An empty network contributes p_tr = 0 and, by convention, p_s = 0 (the
     conditional is undefined but every downstream product vanishes).
@@ -56,11 +40,27 @@ def event_probabilities(sol: Solution, n_wifi: int,
         if p_trl > 0.0:
             p_sl = min(1.0, n_laa * sol.tau_l
                        * (1.0 - sol.tau_l) ** (n_laa - 1) / p_trl)
-    return EventProbabilities(p_trw=p_trw, p_sw=p_sw, p_trl=p_trl, p_sl=p_sl)
+    return p_trw, p_sw, p_trl, p_sl
 
 
-def event_durations(s: Scenario) -> EventDurations:
-    """Durations of the five non-idle event classes of an effective scenario.
+def event_weights(p_trw: float, p_sw: float, p_trl: float,
+                  p_sl: float) -> tuple[float, ...]:
+    """The probability of each EVENT_CLASSES class. The six partition the
+    event space, so they sum to one for any input probabilities."""
+    cross = (p_trw * p_sw * p_trl * p_sl
+             + p_trw * p_sw * p_trl * (1.0 - p_sl)
+             + p_trw * (1.0 - p_sw) * p_trl * p_sl
+             + p_trw * (1.0 - p_sw) * p_trl * (1.0 - p_sl))
+    return ((1.0 - p_trw) * (1.0 - p_trl),
+            p_trw * p_sw * (1.0 - p_trl),
+            p_trl * p_sl * (1.0 - p_trw),
+            p_trw * (1.0 - p_sw) * (1.0 - p_trl),
+            p_trl * (1.0 - p_sl) * (1.0 - p_trw),
+            cross)
+
+
+def event_durations(s: Scenario) -> tuple[float, ...]:
+    """The duration of each EVENT_CLASSES class, idle being one slot.
 
     A Wi-Fi success spans headers, payload, SIFS, ACK, DIFS and two
     propagation delays; a collision saves the SIFS/ACK leg. An LAA grab
@@ -82,8 +82,7 @@ def event_durations(s: Scenario) -> EventDurations:
                 + wifi.prop_delay_us)
     if s.n_laa:
         t_sl = t_cl = s.laa.txop_us + s.laa.next_tx_delay_us
-    return EventDurations(t_sw=t_sw, t_cw=t_cw, t_sl=t_sl, t_cl=t_cl,
-                          t_cc=max(t_cw, t_cl))
+    return s.wifi.slot_us, t_sw, t_sl, t_cw, t_cl, max(t_cw, t_cl)
 
 
 def payload_bits(s: Scenario, share_w: float = 1.0,
@@ -100,46 +99,30 @@ def payload_bits(s: Scenario, share_w: float = 1.0,
                     * s.laa.data_rate_mbps)
 
 
-def expected_event_time(ep: EventProbabilities, ed: EventDurations,
-                        slot_us: float) -> float:
-    """Expected duration of one channel event (microseconds).
-
-    The six class weights (idle, per-network success, per-network collision,
-    cross collision) partition the probability space, so they sum to one for
-    any input probabilities.
-    """
-    p_trw, p_sw, p_trl, p_sl = ep.p_trw, ep.p_sw, ep.p_trl, ep.p_sl
-    cross = (p_trw * p_sw * p_trl * p_sl
-             + p_trw * p_sw * p_trl * (1.0 - p_sl)
-             + p_trw * (1.0 - p_sw) * p_trl * p_sl
-             + p_trw * (1.0 - p_sw) * p_trl * (1.0 - p_sl))
-    return ((1.0 - p_trw) * (1.0 - p_trl) * slot_us
-            + p_trw * p_sw * (1.0 - p_trl) * ed.t_sw
-            + p_trl * p_sl * (1.0 - p_trw) * ed.t_sl
-            + p_trw * (1.0 - p_sw) * (1.0 - p_trl) * ed.t_cw
-            + p_trl * (1.0 - p_sl) * (1.0 - p_trw) * ed.t_cl
-            + cross * ed.t_cc)
+def _build_report(cls, s: Scenario, probs, durations, bits, time: float,
+                  events=1, **extra):
+    """A ``cls`` report, ThroughputReport's fields in order and then
+    ``extra``, of ``events`` events lasting ``time`` in all that delivered
+    ``bits`` per network; per-user figures are 0 without users."""
+    _, t_sw, t_sl, t_cw, t_cl, t_cc = durations
+    tput_w, tput_l = bits[0] / time, bits[1] / time
+    return cls(*probs, t_sw, t_cw, t_sl, t_cl, t_cc, time / events,
+               tput_w, tput_l, tput_w / s.n_wifi if s.n_wifi else 0.0,
+               tput_l / s.n_laa if s.n_laa else 0.0, **extra)
 
 
 def coexistence_throughput(s: Scenario, sol: Solution) -> ThroughputReport:
     """Throughput of both networks at a solved fixed point: each network's
-    success probability times its payload bits, over the expected event time.
-    Per-user figures divide by the node count, 0 for an absent network.
-    """
+    success weight times its payload bits, over the expected event time,
+    the class weights times the class durations summed in class order."""
     s = s.effective()
-    ep = event_probabilities(sol, s.n_wifi, s.n_laa)
-    ed = event_durations(s)
-    t_e = expected_event_time(ep, ed, s.wifi.slot_us)
-    bits_w, bits_l = payload_bits(s, ep.p_trw * ep.p_sw * (1.0 - ep.p_trl),
-                                  ep.p_trl * ep.p_sl * (1.0 - ep.p_trw))
-    tput_w, tput_l = bits_w / t_e, bits_l / t_e
-    return ThroughputReport(
-        p_trw=ep.p_trw, p_sw=ep.p_sw, p_trl=ep.p_trl, p_sl=ep.p_sl,
-        t_sw_us=ed.t_sw, t_cw_us=ed.t_cw, t_sl_us=ed.t_sl, t_cl_us=ed.t_cl,
-        t_cc_us=ed.t_cc, t_e_us=t_e,
-        tput_wifi_mbps=tput_w, tput_laa_mbps=tput_l,
-        per_user_wifi_mbps=tput_w / s.n_wifi if s.n_wifi else 0.0,
-        per_user_laa_mbps=tput_l / s.n_laa if s.n_laa else 0.0)
+    probs = event_probabilities(sol, s.n_wifi, s.n_laa)
+    weights, durations = event_weights(*probs), event_durations(s)
+    t_e = 0.0
+    for weight, duration in zip(weights, durations):
+        t_e += weight * duration    # not sum(): from 3.12 it compensates
+    return _build_report(ThroughputReport, s, probs, durations,
+                         payload_bits(s, weights[1], weights[2]), t_e)
 
 
 def wifi_only_throughput(n: int, wifi: WifiParams,

@@ -140,13 +140,21 @@ class TestRunCommand:
              "noise_power_dbm: '-90', samples: 10}", "noise_power_dbm"),
             ("ed_wifi: {threshold_dbm: 0, signal_power_dbm: 3083.0, "
              "noise_power_dbm: 0.0, samples: 1}", "signal_power_dbm"),
+            # a parameter group's errors name the group
+            ("laa: {w0: 0}", "laa: w0"),
+            ("wifi: {w0: 0}", "wifi: w0"),
+            ("ed_laa: {threshold_dbm: -62, snr_db: 3, noise_power_dbm: -90, "
+             "samples: 0}", "ed_laa: samples"),
+            ("ed_wifi: {threshold_dbm: -62, snr_db: 400, "
+             "noise_power_dbm: -94, samples: 10}", "ed_wifi: snr_db"),
         ]),
     ], ids=["w0-float", "m-overflow", "m-past-64-bits", "retry_limit-float",
             "n_wifi-float", "n_laa-bool", "comparison_mode-string",
             "payload-float", "mac_header-float", "ack-float", "rate-inf",
             "prop_delay-nan", "slot-bool", "txop-string", "pdcch-overflow",
             "laa-bits-overflow", "p_dw-bool", "p_dl-string", "samples-float",
-            "snr-bool", "noise-string", "signal-overflows"])
+            "snr-bool", "noise-string", "signal-overflows", "laa-w0-zero",
+            "wifi-w0-zero", "ed_laa-samples-zero", "ed_wifi-snr-overflows"])
     def test_mistyped_count_or_flag_exits_2(self, tmp_path, capsys, body,
                                              field):
         # values are checked, never coerced: each names its field
@@ -256,6 +264,36 @@ class TestRunCommand:
         code, _, err = run_cli(capsys, "run", str(edge), "--engine", "both",
                                "--horizon", "2000", "--warmup", "100")
         assert code == 0, err
+
+    @pytest.mark.parametrize("command, body, key", [
+        ("run", "n_wifi: 2\nn_laa: 1\nn_wifi: 5\n", "n_wifi"),
+        ("run", "n_wifi: 1\nn_laa: 1\nwifi: {w0: 16, w0: 4}\n", "w0"),
+        ("sweep", "axis: total_nodes\nrange: [2]\n"
+         "base: {n_wifi: 1, n_laa: 1, n_laa: 3}\n", "n_laa"),
+        ("run", "<<: {n_wifi: 1}\n<<: {n_laa: 1}\n", "<<"),
+    ], ids=["top-level", "nested", "sweep-base", "merge-key"])
+    def test_repeated_key_exits_2(self, tmp_path, capsys, command, body,
+                                  key):
+        # a repeated key is refused, not read as its last value
+        path = tmp_path / "repeated.yaml"
+        path.write_text(body)
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 2
+        assert out == ""
+        assert f"duplicate key '{key}'" in err
+
+    def test_merged_keys_may_be_overridden(self, tmp_path, capsys):
+        path = tmp_path / "merged.yaml"
+        path.write_text("axis: total_nodes\nrange: [2]\nbase:\n"
+                        "  <<: {n_wifi: 1, n_laa: 1, wifi: {w0: 4}}\n"
+                        "  n_laa: 2\n")
+        code, out, err = run_cli(capsys, "sweep", str(path))
+        assert code == 0, err
+        assert parse_csv(out)[2][0]["wifi_w0"] == "4"
+        # b overrides its merge and is merged into c before b itself is built
+        path.write_text("p: {b: &b {<<: {x: 1}, x: 2}}\nc: {<<: *b}\n")
+        assert cli._load_input(str(path)) == {"p": {"b": {"x": 2}},
+                                              "c": {"x": 2}}
 
     def test_unknown_preset(self, capsys):
         code, _, err = run_cli(capsys, "run", "no_such_preset")
@@ -833,17 +871,48 @@ class TestBisectionFallback:
         assert proc.returncode in (0, 3), proc.stderr
 
 
+SCENARIO_HEADER = (
+    "n_wifi", "n_laa", "wifi_w0", "wifi_m", "wifi_payload_bytes",
+    "wifi_data_rate_mbps", "wifi_control_rate_mbps", "wifi_phy_header_us",
+    "wifi_mac_header_bytes", "wifi_ack_bytes", "wifi_difs_us", "wifi_sifs_us",
+    "wifi_slot_us", "wifi_prop_delay_us", "laa_w0", "laa_m",
+    "laa_retry_limit", "laa_defer_us", "laa_txop_us", "laa_next_tx_delay_us",
+    "laa_data_rate_mbps", "laa_pdcch_fraction", "p_dw", "p_dl",
+    "comparison_mode")
+RUN_HEADER = ("engine",) + SCENARIO_HEADER + (
+    "tau_w", "tau_l", "p_w", "p_l", "residual", "iterations",
+    "p_trw", "p_sw", "p_trl", "p_sl",
+    "t_sw_us", "t_cw_us", "t_sl_us", "t_cl_us", "t_cc_us", "t_e_us",
+    "tput_wifi_mbps", "tput_laa_mbps", "tput_total_mbps",
+    "per_user_wifi_mbps", "per_user_laa_mbps",
+    "seed", "horizon_events", "warmup_events",
+    "stderr_tput_wifi_mbps", "stderr_tput_laa_mbps",
+    "idle_events", "wifi_success_events", "laa_success_events",
+    "wifi_collision_events", "laa_collision_events", "cross_collision_events")
+SWEEP_HEADER = ("axis", "axis_value", "status") + SCENARIO_HEADER + (
+    "wifi_only_total_mbps", "wifi_only_per_user_mbps",
+    "coex_tput_wifi_mbps", "coex_tput_laa_mbps", "coex_total_mbps",
+    "coex_per_user_wifi_mbps", "coex_per_user_laa_mbps")
+
+
 class TestRowShape:
+    # the headers README lists, written out: a reordered column fails here
     def test_header_is_stable(self, capsys):
         _, out, _ = run_cli(capsys, "run", "table4_case1")
         _, header, _ = parse_csv(out)
-        assert tuple(header) == cli._RUN_COLUMNS
+        assert tuple(header) == RUN_HEADER
+
+    def test_sweep_header_is_stable(self, capsys):
+        _, out, _ = run_cli(capsys, "sweep", "fig7")
+        _, header, _ = parse_csv(out)
+        assert tuple(header) == SWEEP_HEADER
 
     def test_every_result_field_is_a_column(self):
         # the result columns are listed by hand; a new Solution,
         # ThroughputReport or SimReport field must not drop out of the CSV
         # unnoticed
-        from laacoex.mcsim import EVENT_CLASSES, SimReport
+        from laacoex import EVENT_CLASSES
+        from laacoex.mcsim import SimReport
         results = {f.name for f in fields(Solution) if f.name != "method"}
         results |= {f.name for f in fields(ThroughputReport)}
         results |= {f.name for f in fields(SimReport)

@@ -11,14 +11,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from laacoex import EVENT_CLASSES
 from laacoex.core import (LaaParams, Scenario, ThroughputReport, WifiParams,
                           derived_durations, load_priority_class)
-from laacoex.mcsim import (_POOL_CHUNK, EVENT_CLASSES, MAX_STATIONS,
-                           SimConfig, _draws, _exact_dot, _pack, _replay,
-                           simulate, write_trace)
+from laacoex.mcsim import (_POOL_CHUNK, MAX_STATIONS, SimConfig, _draws,
+                           _exact_dot, _pack, _replay, simulate, write_trace)
 from laacoex.solver import solve_coexistence
 from laacoex.throughput import (coexistence_throughput, event_durations,
-                                event_probabilities)
+                                event_probabilities, event_weights)
 
 
 def case3_scenario(n_wifi=1, n_laa=1):
@@ -495,10 +495,11 @@ class TestReportShape:
                                 + c["cross-collision"]) / 20_000
         assert report.p_sl == c["laa-success"] / (c["laa-success"]
                                                   + c["laa-collision"])
-        d = event_durations(s.effective())
+        d = dict(zip(EVENT_CLASSES, event_durations(s.effective())))
         assert (report.t_sw_us, report.t_cw_us, report.t_sl_us,
-                report.t_cl_us, report.t_cc_us) == (d.t_sw, d.t_cw, d.t_sl,
-                                                    d.t_cl, d.t_cc)
+                report.t_cl_us, report.t_cc_us) == (
+            d["wifi-success"], d["wifi-collision"], d["laa-success"],
+            d["laa-collision"], d["cross-collision"])
         assert report.per_user_laa_mbps == report.tput_laa_mbps / 2
 
 
@@ -547,16 +548,9 @@ class TestAgainstAnalyticModel:
                            laa=LaaParams(w0=4, m=1, txop_us=2000.0,
                                          data_rate_mbps=7.8),
                            comparison_mode=True)):
-            sol = solve_coexistence(s)
-            ep = event_probabilities(sol, s.n_wifi, s.n_laa)
-            weights = {
-                "idle": (1 - ep.p_trw) * (1 - ep.p_trl),
-                "wifi-success": ep.p_trw * ep.p_sw * (1 - ep.p_trl),
-                "laa-success": ep.p_trl * ep.p_sl * (1 - ep.p_trw),
-                "wifi-collision": ep.p_trw * (1 - ep.p_sw) * (1 - ep.p_trl),
-                "laa-collision": ep.p_trl * (1 - ep.p_sl) * (1 - ep.p_trw),
-                "cross-collision": ep.p_trw * ep.p_trl,
-            }
+            probs = event_probabilities(solve_coexistence(s), s.n_wifi,
+                                        s.n_laa)
+            weights = dict(zip(EVENT_CLASSES, event_weights(*probs)))
             report = simulate(SimConfig(scenario=s, horizon_events=100_000,
                                         seed=13))
             events = sum(report.event_counts.values())
@@ -703,7 +697,7 @@ class TestExactTwoNodeChain:
             width = windows[stage]
             return [(index[(stage, k)], 1.0 / width) for k in range(width)]
 
-        dur = event_durations(s)
+        dur = dict(zip(EVENT_CLASSES, event_durations(s)))
         wifi_bits = 8.0 * s.wifi.payload_bytes
         laa_bits = s.laa.pdcch_fraction * s.laa.txop_us * s.laa.data_rate_mbps
 
@@ -715,18 +709,18 @@ class TestExactTwoNodeChain:
             for (jl, kl) in states:
                 src = index[(jw, kw)] * size + index[(jl, kl)]
                 if kw == 0 and kl == 0:
-                    time_of[src] = dur.t_cc
+                    time_of[src] = dur["cross-collision"]
                     for iw, pw in redraw(jw, collided=True):
                         for il, pl in redraw(jl, collided=True):
                             transition[src, iw * size + il] += pw * pl
                 elif kw == 0:
-                    time_of[src] = dur.t_sw
+                    time_of[src] = dur["wifi-success"]
                     wifi_payload[src] = wifi_bits
                     il = index[(jl, kl - 1)]
                     for iw, pw in redraw(jw, collided=False):
                         transition[src, iw * size + il] += pw
                 elif kl == 0:
-                    time_of[src] = dur.t_sl
+                    time_of[src] = dur["laa-success"]
                     laa_payload[src] = laa_bits
                     iw = index[(jw, kw - 1)]
                     for il, pl in redraw(jl, collided=False):

@@ -1,12 +1,17 @@
-import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from laacoex.core import LaaParams, Scenario, Solution, WifiParams
+from laacoex import cli
+from laacoex.core import (LaaParams, Scenario, Solution, WifiParams,
+                          scenario_from_dict)
 from laacoex.solver import solve_coexistence
-from laacoex.throughput import (EventDurations, EventProbabilities,
-                                coexistence_throughput, event_durations,
-                                event_probabilities, expected_event_time,
+from laacoex.throughput import (coexistence_throughput, event_durations,
+                                event_probabilities, event_weights,
                                 wifi_only_throughput)
+
+RUN_PRESETS = ("table4_case1", "table4_case2", "table4_case3", "table5",
+               "table6", "table7")
 
 
 def sol(tau_w=0.0, tau_l=0.0):
@@ -16,80 +21,91 @@ def sol(tau_w=0.0, tau_l=0.0):
 
 class TestEventProbabilities:
     def test_single_node_always_succeeds(self):
-        ep = event_probabilities(sol(tau_w=0.2), 1, 0)
-        assert ep.p_trw == pytest.approx(0.2, abs=1e-15)
-        assert ep.p_sw == 1.0
+        p_trw, p_sw, _, _ = event_probabilities(sol(tau_w=0.2), 1, 0)
+        assert p_trw == pytest.approx(0.2, abs=1e-15)
+        assert p_sw == 1.0
 
     def test_two_nodes_enumerated(self):
         # 4 equally likely joint outcomes at tau = 1/2: one collision,
         # two single transmissions, one idle
-        ep = event_probabilities(sol(tau_w=0.5), 2, 0)
-        assert ep.p_trw == pytest.approx(0.75, abs=1e-15)
-        assert ep.p_sw == pytest.approx(2 / 3, abs=1e-15)
+        p_trw, p_sw, _, _ = event_probabilities(sol(tau_w=0.5), 2, 0)
+        assert p_trw == pytest.approx(0.75, abs=1e-15)
+        assert p_sw == pytest.approx(2 / 3, abs=1e-15)
 
     def test_empty_network_conventions(self):
-        ep = event_probabilities(sol(tau_w=0.3, tau_l=0.4), 2, 0)
-        assert ep.p_trl == 0.0
-        assert ep.p_sl == 0.0
+        _, _, p_trl, p_sl = event_probabilities(sol(tau_w=0.3, tau_l=0.4),
+                                                2, 0)
+        assert p_trl == 0.0
+        assert p_sl == 0.0
 
     def test_probabilities_stay_in_range(self):
-        ep = event_probabilities(sol(tau_w=1e-17, tau_l=0.9999), 1, 7)
-        for value in (ep.p_trw, ep.p_sw, ep.p_trl, ep.p_sl):
+        probs = event_probabilities(sol(tau_w=1e-17, tau_l=0.9999), 1, 7)
+        for value in probs:
             assert 0.0 <= value <= 1.0
 
 
 class TestEventDurations:
     def test_reference_timing(self):
         # 1820.44 + 20 + 30.22 + 16 + 18.67 + 34 + 0.2 at 9 Mbps, 2048 B
-        ed = event_durations(Scenario(n_wifi=1, n_laa=1))
-        assert ed.t_sw == pytest.approx(1939.53, abs=0.01)
-        assert ed.t_cw == pytest.approx(1904.77, abs=0.01)
+        _, t_sw, _, t_cw, _, _ = event_durations(Scenario(n_wifi=1, n_laa=1))
+        assert t_sw == pytest.approx(1939.53, abs=0.01)
+        assert t_cw == pytest.approx(1904.77, abs=0.01)
 
     def test_success_exceeds_collision_by_ack_leg(self):
         w = WifiParams()
-        ed = event_durations(Scenario(n_wifi=1, n_laa=1, wifi=w))
+        _, t_sw, _, t_cw, _, _ = event_durations(
+            Scenario(n_wifi=1, n_laa=1, wifi=w))
         ack = 8 * w.ack_bytes / w.control_rate_mbps
-        assert ed.t_sw - ed.t_cw == pytest.approx(
+        assert t_sw - t_cw == pytest.approx(
             w.sifs_us + ack + w.prop_delay_us, abs=1e-9)
 
     def test_laa_occupancy_includes_turnaround(self):
-        ed = event_durations(Scenario(
+        _, _, t_sl, _, t_cl, _ = event_durations(Scenario(
             n_wifi=1, n_laa=1,
             laa=LaaParams(txop_us=2000.0, next_tx_delay_us=500.0)))
-        assert ed.t_sl == 2500.0
-        assert ed.t_cl == ed.t_sl
+        assert t_sl == 2500.0
+        assert t_cl == t_sl
 
     def test_cross_collision_takes_longer_loser(self):
-        ed = event_durations(Scenario(
+        _, _, _, t_cw, t_cl, t_cc = event_durations(Scenario(
             n_wifi=1, n_laa=1,
             laa=LaaParams(txop_us=2000.0, next_tx_delay_us=500.0)))
-        assert ed.t_cc == max(ed.t_cw, ed.t_cl) == 2500.0
+        assert t_cc == max(t_cw, t_cl) == 2500.0
+
+
+probability = st.floats(0.0, 1.0)
 
 
 class TestExpectedEventTime:
-    DUR = EventDurations(t_sw=1939.5, t_cw=1904.8, t_sl=8500.0, t_cl=8500.0,
-                         t_cc=8500.0)
+    """The expected event time's class weights, and its sum over them."""
 
     def test_idle_only(self):
-        ep = EventProbabilities(0.0, 0.0, 0.0, 0.0)
-        assert expected_event_time(ep, self.DUR, 9.0) == 9.0
+        assert event_weights(0.0, 0.0, 0.0, 0.0) == (1.0, 0, 0, 0, 0, 0)
 
-    def test_coefficients_sum_to_one(self):
-        # the six class weights partition the event space; with all
-        # durations forced to 1 the expectation must equal 1 exactly
-        unit = EventDurations(1.0, 1.0, 1.0, 1.0, 1.0)
-        rng = np.random.default_rng(42)
-        for p_trw, p_sw, p_trl, p_sl in rng.random((1000, 4)):
-            ep = EventProbabilities(p_trw, p_sw, p_trl, p_sl)
-            assert expected_event_time(ep, unit, 1.0) == pytest.approx(
-                1.0, abs=1e-12)
+    @given(probability, probability, probability, probability)
+    def test_coefficients_sum_to_one(self, p_trw, p_sw, p_trl, p_sl):
+        # the six class weights partition the event space
+        weights = event_weights(p_trw, p_sw, p_trl, p_sl)
+        assert len(weights) == 6
+        assert min(weights) >= 0.0
+        assert sum(weights) == pytest.approx(1.0, abs=1e-12)
 
     def test_reduces_to_single_network_form(self):
-        ep = EventProbabilities(0.4, 0.8, 0.0, 0.0)
-        expected = (1 - 0.4) * 9.0 + 0.4 * 0.8 * self.DUR.t_sw \
-            + 0.4 * 0.2 * self.DUR.t_cw
-        assert expected_event_time(ep, self.DUR, 9.0) == pytest.approx(
-            expected, abs=1e-12)
+        assert event_weights(0.4, 0.8, 0.0, 0.0) == pytest.approx(
+            ((1 - 0.4), 0.4 * 0.8, 0.0, 0.4 * 0.2, 0.0, 0.0), abs=1e-12)
+
+    @pytest.mark.parametrize("preset", RUN_PRESETS)
+    def test_sums_in_class_order(self, preset):
+        # t_e is accumulated left to right in class order: a compensated
+        # or reordered sum would change the goldens' last digits
+        s = scenario_from_dict(cli._load_input(preset)).effective()
+        sol_ = solve_coexistence(s)
+        t_e = 0.0
+        for weight, duration in zip(
+                event_weights(*event_probabilities(sol_, s.n_wifi, s.n_laa)),
+                event_durations(s)):
+            t_e += weight * duration
+        assert coexistence_throughput(s, sol_).t_e_us == t_e
 
 
 def comparison_scenario(n_wifi, n_laa, w0, m, txop, r_w, r_l):
