@@ -20,8 +20,8 @@ import yaml
 
 from . import __version__
 from ._fields import check_keys, check_value
-from .core import (Scenario, ThroughputReport, scenario_from_dict,
-                   scenario_to_dict)
+from .core import (Scenario, ThroughputReport, check_run_length,
+                   scenario_from_dict, scenario_to_dict)
 from .solver import ConvergenceError, SolverConfig, solve_coexistence
 from .throughput import (EVENT_CLASSES, coexistence_throughput,
                          wifi_only_throughput)
@@ -294,12 +294,6 @@ def _load_input(arg: str) -> dict:
     return data
 
 
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(tolerance=args.tolerance,
-                        max_iterations=args.max_iterations,
-                        damping=args.damping)
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -318,7 +312,9 @@ def _cmd_run(args) -> int:
         raise ValueError(
             f"{args.scenario!r} looks like a sweep spec; use 'laacoex sweep'")
     scenario = scenario_from_dict(data)
-    cfg = _solver_config(args)
+    cfg = SolverConfig(args.tolerance)
+    # an analytic run refuses the simulation flags a simulation would
+    check_run_length(args.horizon, args.seed, args.warmup)
     if args.engine != "analytic":   # numpy is the simulator's alone
         from .mcsim import SimConfig, write_trace
         sim = SimConfig(scenario, args.horizon, args.seed, args.warmup)
@@ -338,8 +334,9 @@ def _cmd_sweep(args) -> int:
         raise ValueError(
             f"{args.spec!r} looks like a scenario; use 'laacoex run'")
     spec = sweep_spec_from_dict(data)
-    rows, any_failed = run_sweep(spec, _solver_config(args))
+    cfg = SolverConfig(args.tolerance)
     with _open_output(args.out, "--out") as out:
+        rows, any_failed = run_sweep(spec, cfg)
         _write_csv(out, _SWEEP_COLUMNS, rows)
     if any_failed:
         print("error: one or more sweep points failed to converge "
@@ -392,9 +389,6 @@ def _add_common_flags(sub) -> None:
                      help="output CSV path ('-' or omitted: stdout); "
                           f"relative paths resolve under ${OUT_DIR_ENV}")
     sub.add_argument("--tolerance", type=float, default=1e-10)
-    sub.add_argument("--max-iterations", type=int, default=10000,
-                     dest="max_iterations")
-    sub.add_argument("--damping", type=float, default=0.5)
 
 
 _parser = None  # built by the first main call; parse_args never mutates it

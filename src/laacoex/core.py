@@ -22,6 +22,15 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def check_run_length(horizon_events: int, seed: int,
+                     warmup_events: int) -> None:
+    """seed >= 0 and horizon > warmup >= 0: ``SimConfig``'s rules, which the
+    CLI applies to every engine without importing the simulator."""
+    _require(seed >= 0, f"seed must be >= 0, got {seed}")
+    _require(horizon_events > warmup_events >= 0,
+             "horizon_events must exceed warmup_events >= 0")
+
+
 def _require_window(w0: int, m: int) -> None:
     # (w0 - 1).bit_length() + m is the bit length of w0 * 2**m - 1; the
     # form never builds 2**m, so a huge m is rejected without a big integer.
@@ -181,7 +190,8 @@ class Solution:
     p_w: float         # conditional collision probability seen by a Wi-Fi AP
     p_l: float         # conditional collision probability seen by an LAA eNB
     residual: float    # max |tau - map(tau)| at the returned point
-    iterations: int
+    iterations: int    # damped iterations, plus the fallback's outer bisection
+                       # steps (its inner tau_l bisections are not counted)
     method: str = "damped"   # or "bisection": the fallback found the point
 
 

@@ -49,7 +49,7 @@ from operator import mul
 import numpy as np
 
 from ._fields import check_field_types
-from .core import Scenario, ThroughputReport
+from .core import Scenario, ThroughputReport, check_run_length
 from .throughput import (EVENT_CLASSES, _build_report, event_durations,
                          payload_bits)
 
@@ -88,10 +88,7 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         check_field_types(self)
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not self.horizon_events > self.warmup_events >= 0:
-            raise ValueError("horizon_events must exceed warmup_events >= 0")
+        check_run_length(self.horizon_events, self.seed, self.warmup_events)
         n = self.scenario.n_wifi + self.scenario.n_laa
         if n > MAX_STATIONS:
             raise ValueError(f"n_wifi + n_laa must be <= {MAX_STATIONS} for "

@@ -3,9 +3,10 @@
 A Wi-Fi AP collides when any other station (own network or LAA) transmits in
 the same slot, diluted by the cross-network detection probability; the LAA
 side is symmetric. Both per-node transmission probabilities must therefore be
-solved jointly with both collision probabilities. The solver runs a damped
-fixed-point iteration and falls back to nested bisection if the iteration
-stalls, so failure to converge is always observable, never silent.
+solved jointly with both collision probabilities. The solver picks its own
+path: a damped fixed-point iteration, handed to a nested bisection when its
+residual stops halving, so failure to converge is always observable, never
+silent. Only the tolerance is the caller's.
 """
 from __future__ import annotations
 
@@ -22,23 +23,28 @@ _P_MAX = 1.0 - 1e-12
 # Bisection interval is shrunk to this width before giving up.
 _BISECT_WIDTH = 1e-16
 
+# Step fraction of the damped iteration toward the mapped value.
+_DAMPING = 0.5
+
+# Stall detection: the residual must at least halve over this many damped
+# iterations, otherwise the solve switches to the bisection fallback. The
+# cap cannot bind at the default tolerance: a solve that reaches it has
+# halved its residual 99 times.
+_STALL_WINDOW = 100
+_MAX_ITERATIONS = 10000
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs of the fixed-point solve."""
+    """What the caller asks of the fixed-point solve; the path is the
+    solver's own choice."""
 
     tolerance: float = 1e-10      # max |tau - map(tau)| accepted at the solution
-    max_iterations: int = 10000
-    damping: float = 0.5          # step fraction toward the mapped value
 
     def __post_init__(self) -> None:
         check_field_types(self)
         if not self.tolerance > 0:
             raise ValueError("tolerance must be > 0")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if not 0 < self.damping <= 1:
-            raise ValueError("damping must be in (0, 1]")
 
 
 class ConvergenceError(RuntimeError):
@@ -56,54 +62,48 @@ class ConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
-def _compile_map(s: Scenario):
-    """Bind the scenario's constants once for a whole solve.
+def _side(chain, n_own: int, n_other: int, p_d: float):
+    """One network's half of the coupled map, its constants bound once:
+    (own_tau, other_tau) -> (new_tau, p), or (0.0, 0.0) without stations.
 
-    Returns the coupled map (tau_w, tau_l) -> (new_w, new_l, p_w, p_l), one
-    application of tau -> chain(collision(tau)), and ``laa_side``, its LAA
-    half alone: (tau_w, tau_l) -> (new_l, p_l), or None without LAA nodes.
-    A Wi-Fi AP collides when any other station transmits, the cross-network
-    term weighted by the detection probability; with perfect detection this
-    reduces to the plain at-least-one-other-transmits form, so one code path
-    serves both models. The LAA side is symmetric.
+    A station collides when any other station transmits, the other
+    network's term weighted by the detection probability; with perfect
+    detection this reduces to the plain at-least-one-other-transmits form,
+    so one formula serves both models and both networks.
     """
-    n_w, n_l, p_dw, p_dl = s.n_wifi, s.n_laa, s.p_dw, s.p_dl
+    if not n_own:
+        return lambda own_tau, other_tau: (0.0, 0.0)
+    tau = chain_tau(*chain)
     # counts as floats, which is what ``float ** int`` converts them to
-    w_all, l_all, w_others, l_others = map(float, (n_w, n_l, n_w - 1, n_l - 1))
-    laa_side = None
+    own_others, other_all = float(n_own - 1), float(n_other)
+
+    def side(own_tau: float, other_tau: float):
+        own_idle = (1.0 - own_tau) ** own_others
+        p = (1.0 - (1.0 - other_tau) ** other_all) * p_d * own_idle \
+            + 1.0 - own_idle
+        # min(p, _P_MAX), which keeps a NaN for the chain to refuse
+        return tau(_P_MAX if _P_MAX < p else p), p
+
+    return side
+
+
+def _sides(s: Scenario):
+    """The Wi-Fi and the LAA side of an effective scenario's coupled map."""
     wifi_chain, laa_chain = s.chains()
-    if n_w:
-        wifi = chain_tau(*wifi_chain)
-    if n_l:
-        laa = chain_tau(*laa_chain)
-
-        def laa_side(tau_w: float, tau_l: float):
-            own_idle = (1.0 - tau_l) ** l_others
-            p_l = (1.0 - (1.0 - tau_w) ** w_all) * p_dl * own_idle \
-                + 1.0 - own_idle
-            # min(p_l, _P_MAX), which keeps a NaN for the chain to refuse
-            return laa(_P_MAX if _P_MAX < p_l else p_l), p_l
-
-    def mapped(tau_w: float, tau_l: float):
-        new_w = p_w = 0.0
-        if n_w:
-            own_idle = (1.0 - tau_w) ** w_others
-            p_w = (1.0 - (1.0 - tau_l) ** l_all) * p_dw * own_idle \
-                + 1.0 - own_idle
-            new_w = wifi(_P_MAX if _P_MAX < p_w else p_w)
-        new_l, p_l = laa_side(tau_w, tau_l) if n_l else (0.0, 0.0)
-        return new_w, new_l, p_w, p_l
-
-    return mapped, laa_side
+    return (_side(wifi_chain, s.n_wifi, s.n_laa, s.p_dw),
+            _side(laa_chain, s.n_laa, s.n_wifi, s.p_dl))
 
 
 def _bisect(shifted) -> tuple[float, int]:
     """Root of an increasing ``shifted`` on [0, 1] and the steps taken.
 
-    Stops at width _BISECT_WIDTH, or once the midpoint rounds onto an end:
+    A root at an end, such as an absent network's 0, takes no step. Else
+    stops at width _BISECT_WIDTH, or once the midpoint rounds onto an end:
     on [0.5, 1) neighbouring floats are 2**-53 apart, wider than the width.
     """
     lo, hi = 0.0, 1.0
+    if shifted(lo) >= 0.0:
+        return lo, 0
     if shifted(hi) < 0.0:
         return hi, 0
     steps = 0
@@ -119,23 +119,18 @@ def _bisect(shifted) -> tuple[float, int]:
     return 0.5 * (lo + hi), steps
 
 
-def _laa_partial_fixed_point(laa_side, tau_w: float) -> float:
-    """Solve tau_l = chain(collision(tau_w, tau_l)) by bisection, tau_w held."""
-    if laa_side is None:
-        return 0.0
-    return _bisect(lambda tau_l: tau_l - laa_side(tau_w, tau_l)[0])[0]
-
-
-def _solve_by_bisection(mapped, laa_side, has_wifi: bool, cfg: SolverConfig,
+def _solve_by_bisection(wifi, laa, cfg: SolverConfig,
                         spent_iterations: int) -> Solution:
-    """Scalarized fallback: outer bisection on tau_w, nested solve for tau_l."""
-    tau_w, steps = 0.0, 0
-    if has_wifi:
-        tau_w, steps = _bisect(lambda w: w - mapped(
-            w, _laa_partial_fixed_point(laa_side, w))[0])
-    tau_l = _laa_partial_fixed_point(laa_side, tau_w)
+    """Scalarized fallback: outer bisection on tau_w, each step solving
+    tau_l = laa(tau_l, tau_w) by an inner bisection whose steps are not
+    counted."""
+    def laa_root(tau_w: float) -> float:
+        return _bisect(lambda tau_l: tau_l - laa(tau_l, tau_w)[0])[0]
 
-    new_w, new_l, p_w, p_l = mapped(tau_w, tau_l)
+    tau_w, steps = _bisect(lambda w: w - wifi(w, laa_root(w))[0])
+    tau_l = laa_root(tau_w)
+
+    (new_w, p_w), (new_l, p_l) = wifi(tau_w, tau_l), laa(tau_l, tau_w)
     residual = max(abs(new_w - tau_w), abs(new_l - tau_l))
     iterations = spent_iterations + steps
     if residual > cfg.tolerance:
@@ -148,11 +143,6 @@ def _solve_by_bisection(mapped, laa_side, has_wifi: bool, cfg: SolverConfig,
     return Solution(tau_w=tau_w, tau_l=tau_l, p_w=p_w, p_l=p_l,
                     residual=residual, iterations=iterations,
                     method="bisection")
-
-
-# Stall detection: the residual must at least halve over this many damped
-# iterations, otherwise the solve switches to the bisection fallback.
-_STALL_WINDOW = 100
 
 
 def solve_coexistence(s: Scenario, cfg: SolverConfig = SolverConfig()) -> Solution:
@@ -169,15 +159,14 @@ def solve_coexistence(s: Scenario, cfg: SolverConfig = SolverConfig()) -> Soluti
     damped iteration nor the bisection fallback meets the tolerance.
     """
     s = s.effective()
-    mapped, laa_side = _compile_map(s)
+    wifi, laa = _sides(s)
     tau_w = 2.0 / (s.wifi.w0 + 1.0) if s.n_wifi else 0.0
     tau_l = 2.0 / (s.laa.w0 + 1.0) if s.n_laa else 0.0
 
-    tolerance, damping = cfg.tolerance, cfg.damping
+    tolerance = cfg.tolerance
     checkpoint = float("inf")
-    iteration = 0
-    for iteration in range(1, cfg.max_iterations + 1):
-        new_w, new_l, p_w, p_l = mapped(tau_w, tau_l)
+    for iteration in range(1, _MAX_ITERATIONS + 1):
+        (new_w, p_w), (new_l, p_l) = wifi(tau_w, tau_l), laa(tau_l, tau_w)
         step_w, step_l = new_w - tau_w, new_l - tau_l
         residual = max(abs(step_w), abs(step_l))
         if residual <= tolerance:
@@ -187,8 +176,7 @@ def solve_coexistence(s: Scenario, cfg: SolverConfig = SolverConfig()) -> Soluti
             if residual > 0.5 * checkpoint:
                 break
             checkpoint = residual
-        tau_w += damping * step_w
-        tau_l += damping * step_l
+        tau_w += _DAMPING * step_w
+        tau_l += _DAMPING * step_l
 
-    return _solve_by_bisection(mapped, laa_side, bool(s.n_wifi), cfg,
-                               iteration)
+    return _solve_by_bisection(wifi, laa, cfg, iteration)

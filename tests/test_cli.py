@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -318,6 +319,9 @@ class TestRunCommand:
         (("--tolerance", "1e400"), "tolerance"),
         (("--engine", "simulate", "--horizon", "2000", "--seed", "-1"),
          "seed"),
+        # the simulation flags are checked whatever the engine
+        (("--seed", "-5"), "seed"),
+        (("--horizon", "0", "--warmup", "-3"), "horizon_events"),
     ])
     def test_invalid_flag_exits_2(self, capsys, flags, field):
         # an infinite tolerance would accept the solver's starting point
@@ -325,6 +329,27 @@ class TestRunCommand:
         assert code == 2
         assert out == ""
         assert re.search(rf"\b{field}\b", err)
+
+
+class TestOptions:
+    # the flags README lists, written out: a flag added or dropped fails here
+    @pytest.mark.parametrize("command, options", [
+        ("run", {"-h", "--help", "--engine", "--seed", "--horizon",
+                 "--warmup", "--trace", "--out", "--tolerance"}),
+        ("sweep", {"-h", "--help", "--out", "--tolerance"})])
+    def test_option_surface(self, command, options):
+        parser = cli._build_parser()
+        commands = next(a.choices for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction))
+        assert {option for action in commands[command]._actions
+                for option in action.option_strings} == options
+
+    @pytest.mark.parametrize("flag", ["--damping", "--max-iterations"])
+    def test_solver_path_is_not_an_option(self, capsys, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["run", "table4_case3", flag, "0.5"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestSweepCommand:
@@ -469,6 +494,18 @@ class TestOutputHandling:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {flag}: ") and target in err
+
+    def test_unwritable_sweep_out_fails_before_the_sweep(self, tmp_path,
+                                                         capsys, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("run_sweep called before --out was opened")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        code, out, err = run_cli(capsys, "sweep", "fig7", "--out",
+                                 str(tmp_path / "missing" / "x.csv"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --out: ")
 
     def test_unwritable_out_fails_before_the_run(self, tmp_path, capsys):
         trace = tmp_path / "t.csv"
@@ -803,25 +840,21 @@ def _run_file(data, *flags):
 
 
 # Small windows put the fixed point in [0.5, 1), where neighbouring floats
-# are further apart than the bisection width; tiny budgets force the
-# fallback and tiny tolerances its ConvergenceError.
+# are further apart than the bisection width; w0 = 1 with many stages stalls
+# the damped iteration into the fallback (1+2 at m = 9 does), and tiny
+# tolerances force its ConvergenceError.
 _small_window_files = st.fixed_dictionaries(
     {"n_wifi": st.integers(0, 6), "n_laa": st.integers(0, 6),
      "wifi": st.fixed_dictionaries({"w0": st.sampled_from([1, 2, 4, 16]),
-                                    "m": st.integers(0, 6)}),
+                                    "m": st.integers(0, 10)}),
      "laa": st.fixed_dictionaries({"w0": st.sampled_from([1, 2, 4, 16]),
-                                   "m": st.integers(0, 6),
+                                   "m": st.integers(0, 10),
                                    "retry_limit": st.integers(0, 8)})},
     optional={"p_dw": st.floats(0.0, 1.0), "p_dl": st.floats(0.0, 1.0),
               "comparison_mode": st.booleans()})
-_solver_flags = st.tuples(
-    st.one_of(st.floats(1e-300, 1e-2), st.sampled_from(
-        [0.0, -1e-10, float("nan"), float("inf")])),
-    st.one_of(st.integers(1, 5), st.integers(6, 10000), st.integers(-1, 0)),
-    st.one_of(st.floats(1e-3, 1.0), st.sampled_from(
-        [0.0, 1.5, float("nan")])),
-).map(lambda t: (f"--tolerance={t[0]!r}", f"--max-iterations={t[1]}",
-                 f"--damping={t[2]!r}"))
+_solver_flags = st.one_of(st.floats(1e-300, 1e-2), st.sampled_from(
+    [0.0, -1e-10, float("nan"), float("inf")])).map(
+        lambda t: (f"--tolerance={t!r}",))
 
 
 class TestRunProperties:
@@ -854,6 +887,18 @@ class TestRunProperties:
 
 
 class TestBisectionFallback:
+    # the fallback called directly, as after ``budget`` damped iterations
+    SCRIPT = (
+        "import sys\n"
+        "from laacoex import cli, solver\n"
+        "s = cli.scenario_from_dict(cli._load_input(sys.argv[1]))\n"
+        "try:\n"
+        "    solver._solve_by_bisection(*solver._sides(s.effective()),\n"
+        "                               solver.SolverConfig(),\n"
+        "                               int(sys.argv[2]))\n"
+        "except solver.ConvergenceError:\n"
+        "    sys.exit(3)\n")
+
     @pytest.mark.parametrize("group, budget", [
         ("wifi: {w0: 2, m: 3}", 1), ("wifi: {w0: 2, m: 3}", 5),
         ("laa: {w0: 2}", 1)])
@@ -865,8 +910,7 @@ class TestBisectionFallback:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
-            [sys.executable, "-m", "laacoex.cli", "run", str(path),
-             "--max-iterations", str(budget)],
+            [sys.executable, "-c", self.SCRIPT, str(path), str(budget)],
             env=env, capture_output=True, text=True, timeout=30)
         assert proc.returncode in (0, 3), proc.stderr
 

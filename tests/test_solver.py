@@ -1,7 +1,10 @@
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from laacoex import solver
 from laacoex.core import LaaParams, Scenario, WifiParams
 from laacoex.markov import chain_tau
 from laacoex.solver import ConvergenceError, SolverConfig, solve_coexistence
@@ -58,6 +61,13 @@ class TestWifiOnly:
     def test_rejects_empty_network(self):
         with pytest.raises(ValueError):
             solve_wifi_only(0, 16, 6)
+
+
+def fallback(s, spent, cfg=SolverConfig()):
+    """The bisection fallback alone, as after ``spent`` stalled damped
+    iterations."""
+    return solver._solve_by_bisection(*solver._sides(s.effective()), cfg,
+                                      spent)
 
 
 def make_scenario(n_wifi=1, n_laa=1, w0w=16, mw=6, w0l=16, ml=6, e_l=1,
@@ -194,26 +204,25 @@ def test_any_valid_scenario_solves_within_tolerance(
 
 class TestSolverConfig:
     def test_validation(self):
+        # the tolerance is the one thing a caller sets; the path is the
+        # solver's own
+        assert [f.name for f in fields(SolverConfig)] == ["tolerance"]
         with pytest.raises(ValueError):
             SolverConfig(tolerance=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(damping=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(max_iterations=0)
         with pytest.raises(ValueError, match="tolerance"):
             SolverConfig(tolerance=float("inf"))
-        with pytest.raises(ValueError, match="max_iterations"):
-            SolverConfig(max_iterations=True)
+        with pytest.raises(ValueError, match="tolerance"):
+            SolverConfig(tolerance=True)
 
     def test_bisection_fallback_rescues_tiny_budget(self):
-        # one damped step cannot converge; the fallback must still deliver
-        cfg = SolverConfig(max_iterations=1)
-        sol = solve_coexistence(make_scenario(4, 4), cfg)
+        # after one damped step the fallback must still deliver
+        cfg = SolverConfig()
+        sol = fallback(make_scenario(4, 4), 1, cfg)
         assert sol.residual <= cfg.tolerance
         assert sol.method == "bisection"
 
     def test_unreachable_tolerance_raises_with_iterate(self):
-        cfg = SolverConfig(tolerance=1e-300, max_iterations=500)
+        cfg = SolverConfig(tolerance=1e-300)
         with pytest.raises(ConvergenceError) as excinfo:
             solve_coexistence(make_scenario(2, 2), cfg)
         err = excinfo.value
@@ -227,69 +236,82 @@ def _hex(*values):
     return tuple(float.fromhex(v) for v in values)
 
 
-# Solutions pinned as float.hex: (scenario, config, method,
-# (tau_w, tau_l, p_w, p_l, residual), iterations). Windows stay at 4 or more
-# wherever the bisection fallback runs.
+# Solutions pinned as float.hex: (scenario, spent, method,
+# (tau_w, tau_l, p_w, p_l, residual), iterations). ``spent`` None is a whole
+# solve at the default tolerance; a count calls the bisection fallback
+# directly, as after that many damped iterations. The fallback_* windows stay
+# at 4 or more; the stall_* cases reach the fallback by themselves, when
+# their residual stops halving.
 REFERENCE_SOLUTIONS = {
-    "damped": (dict(n_wifi=2, n_laa=2), {}, "damped", _hex(
+    "damped": (dict(n_wifi=2, n_laa=2), None, "damped", _hex(
         "0x1.57fc957f8ad38p-4", "0x1.57fc957f8ad38p-4",
         "0x1.d9dc4653178b4p-3", "0x1.d9dc4653178b4p-3",
         "0x1.fe46f00000000p-36"), 17),
-    "fallback": (dict(n_wifi=4, n_laa=4), dict(max_iterations=1),
+    "fallback": (dict(n_wifi=4, n_laa=4), 1,
                  "bisection", _hex(
         "0x1.eade427cfe37cp-5", "0x1.eade427cfe374p-5",
         "0x1.6790bdb7cc024p-2", "0x1.6790bdb7cc024p-2",
         "0x1.8000000000000p-55"), 55),
     "fallback_comparison": (
         dict(n_wifi=3, n_laa=2, w0w=4, mw=2, w0l=4, ml=2, comparison=True),
-        dict(max_iterations=3), "bisection", _hex(
+        3, "bisection", _hex(
             "0x1.d72b4d32ef5dfp-3", "0x1.d72b4d32ef5dfp-3",
             "0x1.4c134c45b8ec4p-1", "0x1.4c134c45b8ec4p-1",
             "0x1.0000000000000p-55"), 57),
     "fallback_laa_only": (
-        dict(n_wifi=0, n_laa=3, w0l=8, ml=1, e_l=2), dict(max_iterations=2),
+        dict(n_wifi=0, n_laa=3, w0l=8, ml=1, e_l=2), 2,
         "bisection", _hex("0x0.0p+0", "0x1.649427d36fac1p-3", "0x0.0p+0",
                           "0x1.4589618b4d97ep-2", "0x0.0p+0"), 2),
     "fallback_wifi_only": (
-        dict(n_wifi=5, n_laa=0, w0w=8, mw=3), dict(max_iterations=4),
+        dict(n_wifi=5, n_laa=0, w0w=8, mw=3), 4,
         "bisection", _hex("0x1.f202ac696a30ep-4", "0x0.0p+0",
                           "0x1.9e52b501a52f2p-2", "0x0.0p+0",
                           "0x1.0000000000000p-55"), 58),
     "fallback_detection": (
-        dict(n_wifi=2, n_laa=3, p_dw=0.3, p_dl=0.8), dict(max_iterations=5),
+        dict(n_wifi=2, n_laa=3, p_dw=0.3, p_dl=0.8), 5,
         "bisection", _hex("0x1.8e3a76657ee12p-4", "0x1.376163faf9acap-4",
                           "0x1.3c3d4f928f4d0p-3", "0x1.172791d4aa8f4p-2",
                           "0x1.8000000000000p-55"), 59),
-    "detection": (dict(n_wifi=5, n_laa=5, p_dw=0.546, p_dl=0.546), {},
+    "stall_coexistence": (
+        dict(n_wifi=1, n_laa=2, w0w=1, mw=9, w0l=1, ml=9), None,
+        "bisection", _hex(
+        "0x1.f7fae37980b7ep-1", "0x1.edf6b0308bd50p-7",
+        "0x1.ea3d902039c00p-6", "0x1.f819d69e3ba29p-1",
+        "0x1.a000000000000p-56"), 254),
+    "stall_wifi_only": (dict(n_wifi=3, n_laa=0, w0w=1, mw=10), None,
+                        "bisection", _hex(
+        "0x1.2cc54a311856ap-2", "0x0.0p+0", "0x1.00996a734d934p-1",
+        "0x0.0p+0", "0x1.4000000000000p-52"), 254),
+    # 200: the damped iterations; the inner tau_l bisection is not counted
+    "stall_laa_only": (dict(n_wifi=0, n_laa=3, w0l=1, ml=10), None,
+                       "bisection", _hex(
+        "0x0.0p+0", "0x1.2cc54a311856ap-2", "0x0.0p+0",
+        "0x1.00996a734d934p-1", "0x1.4000000000000p-52"), 200),
+    "detection": (dict(n_wifi=5, n_laa=5, p_dw=0.546, p_dl=0.546), None,
                   "damped", _hex(
         "0x1.fb6aeff48115cp-5", "0x1.fb6aeff48115cp-5",
         "0x1.5d8f9dd3c1da6p-2", "0x1.5d8f9dd3c1da6p-2",
         "0x1.4b02800000000p-38"), 9),
     "comparison": (dict(n_wifi=1, n_laa=1, w0w=4, mw=1, w0l=4, ml=1, e_l=0,
-                        comparison=True), {}, "damped", _hex(
+                        comparison=True), None, "damped", _hex(
         "0x1.5555555691332p-2", "0x1.5555555691332p-2",
         "0x1.5555555691330p-2", "0x1.5555555691330p-2",
         "0x1.6359800000000p-34"), 26),
-    "no_laa": (dict(n_wifi=3, n_laa=0), {}, "damped", _hex(
+    "no_laa": (dict(n_wifi=3, n_laa=0), None, "damped", _hex(
         "0x1.7e8a0467de2fcp-4", "0x0.0p+0", "0x1.6cad02eb6856cp-3",
         "0x0.0p+0", "0x1.18ae300000000p-34"), 20),
-    "no_wifi": (dict(n_wifi=0, n_laa=4, e_l=0), {}, "damped", _hex(
+    "no_wifi": (dict(n_wifi=0, n_laa=4, e_l=0), None, "damped", _hex(
         "0x0.0p+0", "0x1.5841b43715902p-4", "0x0.0p+0",
         "0x1.da3343ed837acp-3", "0x1.327a800000000p-35"), 17),
-    "retry_0": (dict(n_wifi=3, n_laa=2, w0l=8, ml=3, e_l=0), {}, "damped",
+    "retry_0": (dict(n_wifi=3, n_laa=2, w0l=8, ml=3, e_l=0), None, "damped",
                 _hex("0x1.d7d70725d6744p-5", "0x1.38c32db040612p-3",
                      "0x1.731fc270c8b86p-2", "0x1.29d498bf4c7a8p-2",
                      "0x1.a13d700000000p-34"), 32),
     "retry_8": (dict(n_wifi=10, n_laa=10, w0w=8, mw=1, w0l=8, ml=1, e_l=8),
-                {}, "damped", _hex(
+                None, "damped", _hex(
         "0x1.2181580bc0f8ap-3", "0x1.0104669f0e4e2p-3",
         "0x1.de05e4e48176ap-1", "0x1.dea3ad0ba5180p-1",
         "0x1.c8bc100000000p-35"), 30),
-    "damping_1": (dict(n_wifi=6, n_laa=2, w0w=32, mw=5), dict(damping=1.0),
-                  "damped", _hex(
-        "0x1.2e36ad1ab92ebp-5", "0x1.3e672f86434f2p-4",
-        "0x1.2e3f9118ebd36p-2", "0x1.0e48d52726538p-2",
-        "0x1.55323c0000000p-34"), 47),
 }
 
 TAU_PROBABILITIES = (0.0, 0.25, 0.5 - 1e-10, 0.5, 0.5 + 1e-10, 1 - 1e-12)
@@ -321,17 +343,17 @@ class TestReferenceSolutions:
 
     @pytest.mark.parametrize("name", REFERENCE_SOLUTIONS)
     def test_solution_bits(self, name):
-        scenario, config, method, values, iterations = \
+        scenario, spent, method, values, iterations = \
             REFERENCE_SOLUTIONS[name]
-        sol = solve_coexistence(make_scenario(**scenario),
-                                SolverConfig(**config))
+        s = make_scenario(**scenario)
+        sol = solve_coexistence(s) if spent is None else fallback(s, spent)
         assert (sol.tau_w, sol.tau_l, sol.p_w, sol.p_l,
                 sol.residual) == values
         assert sol.iterations == iterations
         assert sol.method == method
 
     def test_convergence_error_bits(self):
-        cfg = SolverConfig(tolerance=1e-300, max_iterations=500)
+        cfg = SolverConfig(tolerance=1e-300)
         with pytest.raises(ConvergenceError) as excinfo:
             solve_coexistence(make_scenario(2, 2), cfg)
         err = excinfo.value
