@@ -314,7 +314,8 @@ def _cmd_run(args) -> int:
     scenario = scenario_from_dict(data)
     cfg = SolverConfig(args.tolerance)
     # an analytic run refuses the simulation flags a simulation would
-    check_run_length(args.horizon, args.seed, args.warmup)
+    check_run_length(args.horizon, args.seed, args.warmup,
+                     ("--horizon", "--seed", "--warmup"))
     if args.engine != "analytic":   # numpy is the simulator's alone
         from .mcsim import SimConfig, write_trace
         sim = SimConfig(scenario, args.horizon, args.seed, args.warmup)

@@ -22,13 +22,16 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def check_run_length(horizon_events: int, seed: int,
-                     warmup_events: int) -> None:
+def check_run_length(horizon_events: int, seed: int, warmup_events: int,
+                     names=("horizon_events", "seed", "warmup_events")) -> None:
     """seed >= 0 and horizon > warmup >= 0: ``SimConfig``'s rules, which the
-    CLI applies to every engine without importing the simulator."""
-    _require(seed >= 0, f"seed must be >= 0, got {seed}")
+    CLI applies to every engine without importing the simulator. A refusal
+    names the three values by ``names``: ``SimConfig``'s fields, or the
+    CLI's flags."""
+    horizon, seed_name, warmup = names
+    _require(seed >= 0, f"{seed_name} must be >= 0, got {seed}")
     _require(horizon_events > warmup_events >= 0,
-             "horizon_events must exceed warmup_events >= 0")
+             f"{horizon} must exceed {warmup} >= 0")
 
 
 def _require_window(w0: int, m: int) -> None:

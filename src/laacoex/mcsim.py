@@ -31,10 +31,12 @@ Wi-Fi then LAA; per event the Wi-Fi transmitters by index, then the LAA
 ones, each drawing its detection coin (when one is needed) before its new
 counter. A draw is only masked, or compared with a coin's bound, the
 integer ceil(p_d * 2**64), so ``simulate`` reads it packed into a small int:
-its bits under the widest mask and, above them, how many bounds it reaches
-(raw where the two do not fit in 64 bits). ``simulate`` writes nothing:
-``write_trace`` dumps a run from ``_replay``, a plain per-event loop on its
-own raw copy of the stream, whose coin compares with the float p_d * 2**64.
+its bits under the widest mask and, above them, how many bounds it reaches,
+one comparison per bound (raw where the two do not fit in 64 bits), 4,096
+at a time, each pulled with the builtin ``next()``. ``simulate`` writes
+nothing: ``write_trace`` dumps a run from ``_replay``, a plain per-event
+loop on its own raw copy of the stream, whose coin compares with the float
+p_d * 2**64.
 """
 from __future__ import annotations
 
@@ -63,15 +65,20 @@ _POOL_CHUNK = 1 << 12
 
 def _pack(raw, bits, bounds):
     """Each uint64 of ``raw`` with its low ``bits`` bits kept and, above
-    them, its rank: how many of the sorted ``bounds`` it reaches."""
-    rank = np.searchsorted(np.array(bounds, np.uint64), raw, "right")
-    return raw & (1 << bits) - 1 | rank.astype(np.uint64) << bits
+    them, its rank: how many ``bounds`` it reaches, one uint64 comparison
+    each (numpy 1.x would compare with a Python int >= 2**63 in float64).
+    All 64 bits leave no room for a rank, and take no bounds."""
+    packed = raw & np.uint64((1 << bits) - 1)
+    for bound in bounds:
+        packed += np.left_shift(raw >= np.uint64(bound), np.uint64(bits),
+                                dtype=np.uint64)
+    return packed
 
 
 def _draws(seed: int, bits: int = 64, bounds=()):
-    """Endless iterator over PCG64's uint64 outputs, packed by ``_pack`` a
-    chunk at a time into Python ints. The defaults, all 64 bits and no
-    bounds, give the raw outputs."""
+    """Endless iterator over PCG64's uint64 outputs, packed by ``_pack``
+    ``_POOL_CHUNK`` at a time into Python ints for ``next()``. The
+    defaults, all 64 bits and no bounds, give the raw outputs."""
     gen = np.random.PCG64(seed)
     return chain.from_iterable(iter(lambda: _pack(
         gen.random_raw(_POOL_CHUNK), bits, bounds).tolist(), None))
@@ -169,12 +176,12 @@ def simulate(cfg: SimConfig) -> SimReport:
     # runner-up tests; the run ends before either reaches the root.
     shift = (n_w + n_l).bit_length()
     low = (1 << shift) - 1      # the station field of a key
-    draw = _draws(cfg.seed, bits, bounds).__next__
+    draws = _draws(cfg.seed, bits, bounds)
     stage = [0] * (n_w + n_l)
     heap = [horizon << shift | low] * 2
     for i in range(n_w + n_l):
         width, mask = (width_w, mask_w) if i < n_w else (width_l, mask_l)
-        while (backoff := draw() & mask) >= width:
+        while (backoff := next(draws) & mask) >= width:
             pass
         heap.append(backoff << shift | i)
     heapify(heap)
@@ -213,11 +220,11 @@ def simulate(cfg: SimConfig) -> SimReport:
             stage[i] = 0
             if i < n_w:
                 n_sw += 1
-                while (backoff := draw() & mask_w) >= width_w:
+                while (backoff := next(draws) & mask_w) >= width_w:
                     pass
             else:
                 n_sl += 1
-                while (backoff := draw() & mask_l) >= width_l:
+                while (backoff := next(draws) & mask_l) >= width_l:
                     pass
             heapreplace(heap, key + (backoff + 1 << shift))
             continue
@@ -231,13 +238,13 @@ def simulate(cfg: SimConfig) -> SimReport:
         if key < split:
             tab = tab_w
             if blind_w and heap[1] >= split and heap[2] >= split and (
-                    miss_w or coin_w and draw() >= coin_w):
+                    miss_w or coin_w and next(draws) >= coin_w):
                 tab = reset_w
                 und_w += 1
             while key < split:
                 i = key & low
                 width, mask, stage[i] = tab[stage[i]]
-                while (backoff := draw() & mask) >= width:
+                while (backoff := next(draws) & mask) >= width:
                     pass
                 heapreplace(heap, key + (backoff + 1 << shift))
                 att_w += 1
@@ -250,13 +257,13 @@ def simulate(cfg: SimConfig) -> SimReport:
             n_cl += 1
         tab = tab_l
         if blind_l and heap[1] > last and heap[2] > last and (
-                miss_l or coin_l and draw() >= coin_l):
+                miss_l or coin_l and next(draws) >= coin_l):
             tab = reset_l
             und_l += 1
         while key <= last:
             i = key & low
             width, mask, stage[i] = tab[stage[i]]
-            while (backoff := draw() & mask) >= width:
+            while (backoff := next(draws) & mask) >= width:
                 pass
             heapreplace(heap, key + (backoff + 1 << shift))
             att_l += 1

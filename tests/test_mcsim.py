@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from laacoex import EVENT_CLASSES
+from laacoex import EVENT_CLASSES, mcsim
 from laacoex.core import (LaaParams, Scenario, ThroughputReport, WifiParams,
                           derived_durations, load_priority_class)
 from laacoex.mcsim import (_POOL_CHUNK, MAX_STATIONS, SimConfig, _draws,
@@ -655,6 +655,41 @@ class TestPackedDraws:
                 assert y & mask == x & mask
             for k, bound in enumerate(bounds, 1):
                 assert (y >= k << bits) == (x >= bound)
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=st.lists(st.integers(0, 2 ** 64 - 1), max_size=8),
+           bounds=st.lists(st.integers(1, 2 ** 64 - 2 ** 11), max_size=2),
+           data=st.data())
+    def test_packing_equals_the_searchsorted_formula(self, raw, bounds, data):
+        bounds.sort()
+        # every width with room for the rank above it (all 64 bits: below)
+        bits = data.draw(st.integers(0, (63, 63, 62)[len(bounds)]),
+                         label="bits")
+        raw += [x for b in bounds for x in (b - 1, b, b + 1)]
+        raw = np.array(raw + [0, 2 ** 64 - 1], np.uint64)
+        packed = _pack(raw, bits, bounds)
+        # the formula _pack replaced, run on the same (unchanged) outputs
+        rank = np.searchsorted(np.array(bounds, np.uint64), raw, "right")
+        expected = raw & (1 << bits) - 1 | rank.astype(np.uint64) << bits
+        assert packed.tolist() == expected.tolist()
+
+    def test_all_64_bits_return_the_raw_outputs(self):
+        raw = np.array([0, 1, 2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1], np.uint64)
+        assert _pack(raw, 64, []).tolist() == raw.tolist()
+
+    @pytest.mark.parametrize("name, horizon", [
+        ("blind-wifi", 30_000),     # one coin bound
+        ("coin-extremes", 3_000),   # two, at a horizon chunk 1 runs quickly
+    ])
+    def test_report_does_not_depend_on_the_chunk_size(self, monkeypatch, name,
+                                                      horizon):
+        _, cfg = TestReferenceStream.RUNS[name]
+        cfg = replace(cfg, horizon_events=horizon, warmup_events=300)
+        reports = []
+        for chunk in (1, 3, 4096):
+            monkeypatch.setattr(mcsim, "_POOL_CHUNK", chunk)
+            reports.append(repr(simulate(cfg)))
+        assert reports == [reports[-1]] * 3
 
     def test_raw_stream_is_the_generators_uint64_stream(self):
         n = 2 * _POOL_CHUNK
