@@ -5,38 +5,39 @@ the two compare number for number: every channel event is one backoff step for
 every station (counters freeze during others' transmissions and a busy period
 is one event), a station transmits when its counter hits zero, and the six
 event classes carry the analytical event durations. The loop is event-driven:
-each station's next transmission is the absolute index of an event (its
-counter at event k is that index minus k), so the run jumps from one
-transmission to the next and touches only the transmitters. A binary heap
-keyed by (index, station) is the only record of those indices, so each
-transmitter costs O(log n) rather than a scan of all n stations, stations
-that share an event leave it by station number, which is the draw order
-below. A transmitter's key is advanced in place, by its new counter plus one
-in the index field, and the batch edge is compared as a key, so the loop
-splits a key only to close a batch. The stations of a network share one
-table of windows per stage. A lone transmitter always succeeds and draws no
-detection coin, so it takes a short path; a collision walks the heap's root
-in place, one replace per transmitter, Wi-Fi's and then LAA's. A network
-whose p_d is below 1 reads whether its first transmitter is its only one off
-the runner-up key; at p_d = 1 nothing hangs on that, so it is not tested.
-The loop only counts: a batch closes with its event count and its per-class
-and per-network counts, idle being its events minus its busy ones and chain
-collisions a network's attempts in collision events minus its undetected
-lone stations. Time and payload bits are formed from the counts when the
-run ends, each batch's time as the exact sum of count times duration over
-the six classes, rounded once. The warmup is batch 0, counted like the
-others and dropped at the end. One seeded PCG64 stream feeds every draw in
-a fixed order, so a configuration is bit-reproducible: initial counters
-Wi-Fi then LAA; per event the Wi-Fi transmitters by index, then the LAA
-ones, each drawing its detection coin (when one is needed) before its new
-counter. A draw is only masked, or compared with a coin's bound, the
-integer ceil(p_d * 2**64), so ``simulate`` reads it packed into a small int:
-its bits under the widest mask and, above them, how many bounds it reaches,
-one comparison per bound (raw where the two do not fit in 64 bits), 4,096
-at a time, each pulled with the builtin ``next()``. ``simulate`` writes
-nothing: ``write_trace`` dumps a run from ``_replay``, a plain per-event
-loop on its own raw copy of the stream, whose coin compares with the float
-p_d * 2**64.
+each station's next transmission is the absolute index of an event (its counter
+at event k is that index minus k), so the run jumps from one transmission to
+the next and touches only the transmitters. A binary heap keyed by (index,
+station, stage), one int with the stage lowest, is the only record of those
+indices and stages, so each transmitter costs O(log n) rather than a scan of
+all n stations, and stations that share an event leave it by station number,
+which is the draw order below. The stations of a network share one table per
+stage of its next window and of the step that moves a key to the next event and
+stage, so a transmitter's key is advanced in place, by that step plus its new
+counter, and the batch edge is compared as a key: the loop splits a key only to
+close a batch. A lone transmitter always succeeds and draws no detection coin,
+so it takes a short path; a collision walks the heap's root in place, one
+replace per transmitter, Wi-Fi's and then LAA's. A network whose p_d is below 1
+reads whether its first transmitter is its only one off the runner-up key; at
+p_d = 1 nothing hangs on that, so it is not tested. The loop only counts: a
+batch closes with its event count and its per-class and per-network counts,
+idle being its events minus its busy ones and chain collisions a network's
+attempts in collision events minus its undetected lone stations. Time and
+payload bits are formed from the counts when the run ends, each batch's time as
+the exact sum of count times duration over the six classes, rounded once. The
+warmup is batch 0, counted like the others and dropped at the end. One seeded
+PCG64 stream feeds every draw in a fixed order, so a configuration is
+bit-reproducible: initial counters Wi-Fi then LAA; per event the Wi-Fi
+transmitters by index, then the LAA ones, each drawing its detection coin (when
+one is needed) before its new counter. A draw is only masked, or compared with
+a coin's bound, the integer ceil(p_d * 2**64), so ``simulate`` reads it packed
+into a small int in key units: its bits under the widest mask, shifted past the
+station and stage fields, and above them how many bounds it reaches, one
+comparison per bound, 4,096 at a time, each pulled with the builtin ``next()``.
+Where the three do not fit in 64 bits the draw stays raw, shifted as a Python
+int, and so do the bounds. ``simulate`` writes nothing: ``write_trace`` dumps a
+run from ``_replay``, a plain per-event loop on its own raw copy of the stream,
+whose coin compares with the float p_d * 2**64.
 """
 from __future__ import annotations
 
@@ -63,25 +64,29 @@ MAX_STATIONS = 1024     # larger runs are refused before any list is built
 _POOL_CHUNK = 1 << 12
 
 
-def _pack(raw, bits, bounds):
-    """Each uint64 of ``raw`` with its low ``bits`` bits kept and, above
-    them, its rank: how many ``bounds`` it reaches, one uint64 comparison
-    each (numpy 1.x would compare with a Python int >= 2**63 in float64).
-    All 64 bits leave no room for a rank, and take no bounds."""
-    packed = raw & np.uint64((1 << bits) - 1)
+def _pack(raw, bits, bounds, shift=0):
+    """Each uint64 of ``raw`` with its low ``bits`` bits kept, shifted up by
+    ``shift`` and, above them, its rank: how many ``bounds`` it reaches,
+    one uint64 comparison each (numpy 1.x would compare with a Python int
+    >= 2**63 in float64), as a list of Python ints. All 64 bits leave no
+    room for a rank, take no bounds, and are shifted as Python ints."""
+    if bits == 64:
+        raw = raw.tolist()
+        return [x << shift for x in raw] if shift else raw
+    packed = (raw & np.uint64((1 << bits) - 1)) << np.uint64(shift)
     for bound in bounds:
-        packed += np.left_shift(raw >= np.uint64(bound), np.uint64(bits),
-                                dtype=np.uint64)
-    return packed
+        packed += np.left_shift(raw >= np.uint64(bound),
+                                np.uint64(bits + shift), dtype=np.uint64)
+    return packed.tolist()
 
 
-def _draws(seed: int, bits: int = 64, bounds=()):
+def _draws(seed: int, bits: int = 64, bounds=(), shift: int = 0):
     """Endless iterator over PCG64's uint64 outputs, packed by ``_pack``
     ``_POOL_CHUNK`` at a time into Python ints for ``next()``. The
-    defaults, all 64 bits and no bounds, give the raw outputs."""
+    defaults, all 64 bits, no bounds and no shift, give the raw outputs."""
     gen = np.random.PCG64(seed)
     return chain.from_iterable(iter(lambda: _pack(
-        gen.random_raw(_POOL_CHUNK), bits, bounds).tolist(), None))
+        gen.random_raw(_POOL_CHUNK), bits, bounds, shift), None))
 
 
 @dataclass(frozen=True)
@@ -132,22 +137,34 @@ def simulate(cfg: SimConfig) -> SimReport:
     detection probability of 0 or 1 draws no coin.
     """
     s = cfg.scenario.effective()
-    n_w, n_l = s.n_wifi, s.n_laa
+    n_w, n_l, chains = s.n_wifi, s.n_laa, s.chains()
 
-    # Per network, indexed by stage j: the stage a collision at j moves to
-    # (the next one, or 0 after the last stay at the top window) with its
-    # window and the bit mask of its mask-and-reject draw (no modulo bias).
-    # The top's entry leads to stage 0, so it holds the stage-0 window.
-    tab_w, tab_l = [], []
-    for tab, (w0, m, extra) in zip((tab_w, tab_l), s.chains()):
+    # Heap of fire << shift | station << sb | stage, fire being the absolute
+    # index of the station's next transmission: the least key is the next
+    # transmitter, and at a tie the lower station, so stations that share an
+    # event come off in draw order. Windows, masks, draws and coin bounds
+    # are all in key units, shifted past the station and stage fields.
+    sb = max(m + extra for _, m, extra in chains).bit_length()
+    shift = sb + (n_w + n_l).bit_length()
+    one, low, smask = 1 << shift, (1 << shift) - 1, (1 << sb) - 1
+    keep, laa_low = ~smask, n_w << sb   # no stage; the first LAA station
+    # Per network, indexed by stage j: the window and the mask-and-reject
+    # bit mask (no modulo bias) of the stage a collision at j moves to (the
+    # next one, or 0 after the last stay at the top window), and the step
+    # that adds one event and that stage to the key. The top's entry leads
+    # to stage 0, so it holds the stage-0 window; an undetected lone
+    # station resets to it as after a success.
+    tab_w, tab_l, reset_w, reset_l = [], [], [], []
+    for tab, reset, (w0, m, extra) in zip((tab_w, tab_l), (reset_w, reset_l),
+                                          chains):
         top = m + extra
         for j in range(top + 1):
             after = 0 if j == top else j + 1
             width = 2 ** min(after, m) * w0
-            tab.append((width, (1 << (width - 1).bit_length()) - 1, after))
+            mask = (1 << (width - 1).bit_length()) - 1 << shift
+            tab.append((width << shift, mask, one + after - j))
+        reset += [(*tab[-1][:2], one - j) for j in range(top + 1)]
     (width_w, mask_w, _), (width_l, mask_l, _) = tab_w[-1], tab_l[-1]
-    # An undetected lone station resets as after a success.
-    reset_w, reset_l = [tab_w[-1]] * len(tab_w), [tab_l[-1]] * len(tab_l)
     # A network's lone station in a cross collision goes undetected (its
     # chain records a success) for certain at p_d = 0, never at 1, else when
     # its draw is >= ceil(p_d * 2**64): an int compares with a float exactly,
@@ -158,32 +175,24 @@ def simulate(cfg: SimConfig) -> SimReport:
                       for p in (s.p_dw, s.p_dl))
     blind_w, blind_l = s.p_dw < 1.0, s.p_dl < 1.0
     # The loop reads packed draws (_pack): the coin at the k-th bound is
-    # k << bits. Where they do not fit in 64 bits, all stay raw.
-    bits = max(mask for _, mask, _ in tab_w + tab_l).bit_length()
+    # k << bits + shift. Where they do not fit in 64 bits, all stay raw.
+    bits = (max(mask for _, mask, _ in tab_w + tab_l) >> shift).bit_length()
     bounds = sorted({coin_w, coin_l} - {0})
-    if bits + len(bounds).bit_length() > 64:
+    if bits + shift + len(bounds).bit_length() > 64:
         bits, bounds = 64, []
-    coin_w, coin_l = (bounds.index(c) + 1 << bits if c in bounds else c
-                      for c in (coin_w, coin_l))
+    coin_w, coin_l = ((bounds.index(c) + 1 << bits if c in bounds else c)
+                      << shift for c in (coin_w, coin_l))
 
     horizon, warmup = cfg.horizon_events, cfg.warmup_events
-    # Heap of (fire << shift) | station, fire being the absolute index of
-    # the station's next transmission: the least key is the next
-    # transmitter, and at a tie the lower station, so stations that share an
-    # event come off in draw order; a transmitter at t with new counter b
-    # fires at t + 1 + b, so its key grows by b + 1 << shift. Two sentinels
-    # at the horizon keep heap[1] and heap[2] defined, for the lone and the
-    # runner-up tests; the run ends before either reaches the root.
-    shift = (n_w + n_l).bit_length()
-    low = (1 << shift) - 1      # the station field of a key
-    draws = _draws(cfg.seed, bits, bounds)
-    stage = [0] * (n_w + n_l)
+    # Two sentinels at the horizon keep heap[1] and heap[2] defined, for the
+    # lone and the runner-up tests; the run ends before either reaches root.
+    draws = _draws(cfg.seed, bits, bounds, shift)
     heap = [horizon << shift | low] * 2
     for i in range(n_w + n_l):
         width, mask = (width_w, mask_w) if i < n_w else (width_l, mask_l)
         while (backoff := next(draws) & mask) >= width:
             pass
-        heap.append(backoff << shift | i)
+        heap.append(backoff | i << sb)
     heapify(heap)
     n_batches = min(_BATCHES, horizon - warmup)
     batch_size = (horizon - warmup) // n_batches
@@ -216,9 +225,7 @@ def simulate(cfg: SimConfig) -> SimReport:
 
         last = key | low        # the largest key that fires with this one
         if heap[1] > last and heap[2] > last:   # lone: no rival, no coin
-            i = key & low
-            stage[i] = 0
-            if i < n_w:
+            if key & low < laa_low:
                 n_sw += 1
                 while (backoff := next(draws) & mask_w) >= width_w:
                     pass
@@ -226,7 +233,7 @@ def simulate(cfg: SimConfig) -> SimReport:
                 n_sl += 1
                 while (backoff := next(draws) & mask_l) >= width_l:
                     pass
-            heapreplace(heap, key + (backoff + 1 << shift))
+            heapreplace(heap, (key & keep) + backoff + one)
             continue
         # A collision walks the root: each transmitter's new key lies past
         # last, so the next root is the next station that fires with it, in
@@ -234,7 +241,7 @@ def simulate(cfg: SimConfig) -> SimReport:
         # blind network's first transmitter is its only one, and so may go
         # undetected in what must be a cross collision, when the runner-up
         # key, the lesser of the root's children, is not its network's.
-        split = last ^ low | n_w    # the least LAA key of the event
+        split = last ^ low | laa_low    # the least LAA key of the event
         if key < split:
             tab = tab_w
             if blind_w and heap[1] >= split and heap[2] >= split and (
@@ -242,11 +249,10 @@ def simulate(cfg: SimConfig) -> SimReport:
                 tab = reset_w
                 und_w += 1
             while key < split:
-                i = key & low
-                width, mask, stage[i] = tab[stage[i]]
+                width, mask, step = tab[key & smask]
                 while (backoff := next(draws) & mask) >= width:
                     pass
-                heapreplace(heap, key + (backoff + 1 << shift))
+                heapreplace(heap, key + step + backoff)
                 att_w += 1
                 key = heap[0]
             if key > last:
@@ -261,11 +267,10 @@ def simulate(cfg: SimConfig) -> SimReport:
             tab = reset_l
             und_l += 1
         while key <= last:
-            i = key & low
-            width, mask, stage[i] = tab[stage[i]]
+            width, mask, step = tab[key & smask]
             while (backoff := next(draws) & mask) >= width:
                 pass
-            heapreplace(heap, key + (backoff + 1 << shift))
+            heapreplace(heap, key + step + backoff)
             att_l += 1
             key = heap[0]
 

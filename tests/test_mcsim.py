@@ -68,7 +68,10 @@ class TestReferenceStream:
     its runner-up test to networks whose detection can fail, and the last
     three (top windows of 2**62 and 2**63 beside two coins, and coin bounds
     at 1 and 2**64 - 2**11) from that loop, before ``simulate`` read its
-    draws packed into small ints: event counts in EVENT_CLASSES order,
+    draws packed into small ints, and the last two (a packed draw of
+    exactly 64 bits with the key's stage and station fields under it, and
+    one of 65 that stays raw) from the packed loop, before its keys carried
+    each station's stage: event counts in EVENT_CLASSES order,
     then ``float.hex`` of the six measured quantities and of the six
     standard errors (keys sorted). Any change to
     the draw order, mask-and-reject, the detection coin, the warmup and
@@ -204,6 +207,18 @@ class TestReferenceStream:
             scenario=Scenario(n_wifi=3, n_laa=3, p_dw=5e-324,
                               p_dl=math.nextafter(1.0, 0.0)),
             horizon_events=30_000, seed=33, warmup_events=3_000)),
+        # one coin beside a top Wi-Fi window of 2**54 at stage 53: 54 mask
+        # bits, 1 rank bit and a key shift of 9 (6 stage bits, 3 station
+        # bits) fill a packed draw's 64; at 2**55 they need 65, and the
+        # draws stay raw
+        "key-shift-64-bits": (simulate, SimConfig(
+            scenario=Scenario(n_wifi=2, n_laa=2, wifi=WifiParams(w0=4, m=52),
+                              laa=LaaParams(w0=4, m=1), p_dw=0.3),
+            horizon_events=30_000, seed=34, warmup_events=3_000)),
+        "key-shift-65-bits-raw": (simulate, SimConfig(
+            scenario=Scenario(n_wifi=2, n_laa=2, wifi=WifiParams(w0=4, m=53),
+                              laa=LaaParams(w0=4, m=1), p_dw=0.3),
+            horizon_events=30_000, seed=35, warmup_events=3_000)),
     }
 
     EXPECTED = {
@@ -327,6 +342,16 @@ class TestReferenceStream:
             "0x1.373ed4a355961p-4", "0x1.61f721761f721p-3", "0x1.7280da469fa18p-2",
             "0x1.a0a6959f293b5p-8", "0x1.5250595a58e3bp-8", "0x1.ad174935ea2e8p-11",
             "0x1.1b8f371d347bbp-10", "0x1.67c0dc9d47d70p-5", "0x1.aaa6fb6c0c41bp-6")),
+        "key-shift-64-bits": ((8392, 4717, 6872, 462, 1408, 5149), (
+            "0x1.3e76126010bfcp-1", "0x1.9a32c06de0979p+1", "0x1.a9436eaaf856cp-3",
+            "0x1.2b768e7324a2fp-2", "0x1.273ef1af68679p-2", "0x1.213318a3ec49bp-1",
+            "0x1.3a521fd54e005p-8", "0x1.093edc7849868p-7", "0x1.5dc53a9468214p-10",
+            "0x1.beef3cc143510p-9", "0x1.17fbdecd87b77p-5", "0x1.3828de6e58689p-7")),
+        "key-shift-65-bits-raw": ((8474, 4745, 6741, 437, 1424, 5179), (
+            "0x1.4234b71fd6df5p-1", "0x1.94b533f74e264p+1", "0x1.a8e25788751d8p-3",
+            "0x1.298c4004dac1cp-2", "0x1.1c444762f7c03p-2", "0x1.240a3ef18fa78p-1",
+            "0x1.54664fdbe9482p-8", "0x1.1768a817ebcf5p-7", "0x1.5d526d58c867ap-10",
+            "0x1.0c6de55cd4d91p-8", "0x1.471ff2a0f0865p-5", "0x1.8071291bf3355p-7")),
     }
 
     @pytest.mark.parametrize("name", sorted(RUNS))
@@ -385,11 +410,14 @@ class TestAgainstReferenceLoop:
     @example(20, 20, 16, 6, 16, 6, 1, False, 0.546, 0.546, 2_000, 0.1, 3)
     @example(4, 2, 4, 1, 4, 1, 1, True, 1.0, 1.0, 2_000, 0.1, 4)
     # TestReferenceStream's packed and raw wide windows beside two coins,
-    # and its coin bounds at their ends
+    # its coin bounds at their ends, and its 64- and 65-bit packed draws
+    # beside one coin
     @example(2, 2, 4, 60, 4, 1, 1, False, 0.3, 0.77, 2_000, 0.1, 31)
     @example(2, 2, 4, 61, 4, 1, 1, False, 0.3, 0.77, 2_000, 0.1, 32)
     @example(3, 3, 16, 6, 16, 2, 1, False, 5e-324, math.nextafter(1.0, 0.0),
              2_000, 0.1, 33)
+    @example(2, 2, 4, 52, 4, 1, 1, False, 0.3, 1.0, 2_000, 0.1, 34)
+    @example(2, 2, 4, 53, 4, 1, 1, False, 0.3, 1.0, 2_000, 0.1, 35)
     def test_counts_match_reference_loop(self, n_w, n_l, w0_w, m_w, w0_l,
                                          m_l, retry_limit, comparison_mode,
                                          p_dw, p_dl, horizon, warmup_share,
@@ -635,9 +663,9 @@ class TestCoinThreshold:
 
 class TestPackedDraws:
     """``simulate`` reads each PCG64 output packed by ``_pack``: its bits
-    under the widest mask and, above them, its rank among the coin bounds.
-    Every mask and every coin must read the packed draw as it reads the
-    raw one."""
+    under the widest mask and, above them, its rank among the coin bounds,
+    all shifted into heap-key units. Every mask and every coin must read
+    the packed draw as it reads the raw one."""
 
     @settings(max_examples=300, deadline=None)
     @given(raw=st.lists(st.integers(0, 2 ** 64 - 1), max_size=8),
@@ -649,7 +677,7 @@ class TestPackedDraws:
         # the draws either side of each bound, and the ends of the range
         raw += [x for b in bounds for x in (b - 1, b, b + 1)]
         raw += [0, 2 ** 64 - 1]
-        packed = _pack(np.array(raw, np.uint64), bits, bounds).tolist()
+        packed = _pack(np.array(raw, np.uint64), bits, bounds)
         for x, y in zip(raw, packed):
             for mask in ((1 << width) - 1 for width in range(bits + 1)):
                 assert y & mask == x & mask
@@ -662,24 +690,32 @@ class TestPackedDraws:
            data=st.data())
     def test_packing_equals_the_searchsorted_formula(self, raw, bounds, data):
         bounds.sort()
-        # every width with room for the rank above it (all 64 bits: below)
-        bits = data.draw(st.integers(0, (63, 63, 62)[len(bounds)]),
+        # every width with room for the rank above it (all 64 bits: below),
+        # and every shift with room for both
+        rank_bits = len(bounds).bit_length()
+        bits = data.draw(st.integers(0, 64 - max(rank_bits, 1)),
                          label="bits")
+        shift = data.draw(st.integers(0, 64 - bits - rank_bits),
+                          label="shift")
         raw += [x for b in bounds for x in (b - 1, b, b + 1)]
         raw = np.array(raw + [0, 2 ** 64 - 1], np.uint64)
-        packed = _pack(raw, bits, bounds)
+        packed = _pack(raw, bits, bounds, shift)
         # the formula _pack replaced, run on the same (unchanged) outputs
         rank = np.searchsorted(np.array(bounds, np.uint64), raw, "right")
-        expected = raw & (1 << bits) - 1 | rank.astype(np.uint64) << bits
-        assert packed.tolist() == expected.tolist()
+        formula = raw & (1 << bits) - 1 | rank.astype(np.uint64) << bits
+        assert packed == [x << shift for x in formula.tolist()]
 
     def test_all_64_bits_return_the_raw_outputs(self):
         raw = np.array([0, 1, 2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1], np.uint64)
-        assert _pack(raw, 64, []).tolist() == raw.tolist()
+        for shift in (0, 1, 9, 20):     # shifted as Python ints
+            assert _pack(raw, 64, [], shift) == [
+                x << shift for x in raw.tolist()]
 
     @pytest.mark.parametrize("name, horizon", [
         ("blind-wifi", 30_000),     # one coin bound
         ("coin-extremes", 3_000),   # two, at a horizon chunk 1 runs quickly
+        # one, under a key shift of 9: 3 stage bits and 6 station bits
+        ("class4-20+20-detection", 3_000),
     ])
     def test_report_does_not_depend_on_the_chunk_size(self, monkeypatch, name,
                                                       horizon):
@@ -701,6 +737,11 @@ class TestPackedDraws:
         rank = [sum(x >= b for b in bounds) for x in expected]
         assert list(islice(_draws(7, 10, bounds), n)) == [
             x & 1023 | k << 10 for x, k in zip(expected, rank)]
+        # in key units, packed and raw
+        assert list(islice(_draws(7, 10, bounds, 9), n)) == [
+            (x & 1023 | k << 10) << 9 for x, k in zip(expected, rank)]
+        assert list(islice(_draws(7, 64, [], 9), n)) == [
+            x << 9 for x in expected]
 
 
 class TestExactTwoNodeChain:
