@@ -203,8 +203,6 @@ def run_sweep(spec: SweepSpec, cfg: SolverConfig) -> tuple[list[dict], bool]:
 
 
 def _format_cell(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)       # a float's str is its shortest repr

@@ -15,29 +15,31 @@ which is the draw order below. The stations of a network share one table per
 stage of its next window and of the step that moves a key to the next event and
 stage, so a transmitter's key is advanced in place, by that step plus its new
 counter, and the batch edge is compared as a key: the loop splits a key only to
-close a batch. A lone transmitter always succeeds and draws no detection coin,
-so it takes a short path; a collision walks the heap's root in place, one
-replace per transmitter, Wi-Fi's and then LAA's. A network whose p_d is below 1
-reads whether its first transmitter is its only one off the runner-up key; at
-p_d = 1 nothing hangs on that, so it is not tested. The loop only counts: a
-batch closes with its event count and its per-class and per-network counts,
-idle being its events minus its busy ones and chain collisions a network's
-attempts in collision events minus its undetected lone stations. Time and
-payload bits are formed from the counts when the run ends, each batch's time as
-the exact sum of count times duration over the six classes, rounded once. The
-warmup is batch 0, counted like the others and dropped at the end. One seeded
-PCG64 stream feeds every draw in a fixed order, so a configuration is
-bit-reproducible: initial counters Wi-Fi then LAA; per event the Wi-Fi
-transmitters by index, then the LAA ones, each drawing its detection coin (when
-one is needed) before its new counter. A draw is only masked, or compared with
-a coin's bound, the integer ceil(p_d * 2**64), so ``simulate`` reads it packed
-into a small int in key units: its bits under the widest mask, shifted past the
-station and stage fields, and above them how many bounds it reaches, one
-comparison per bound, 4,096 at a time, each pulled with the builtin ``next()``.
-Where the three do not fit in 64 bits the draw stays raw, shifted as a Python
-int, and so do the bounds. ``simulate`` writes nothing: ``write_trace`` dumps a
-run from ``_replay``, a plain per-event loop on its own raw copy of the stream,
-whose coin compares with the float p_d * 2**64.
+close a batch. The next transmitter's key is held out of the heap, whose root,
+kept defined by one sentinel at the horizon, is then the runner-up key; each
+reschedule is one heappushpop, which returns the new least key. A lone
+transmitter always succeeds and draws no detection coin, so it takes a short
+path; a collision walks the held key, one heappushpop per transmitter, Wi-Fi's
+and then LAA's. A network whose p_d is below 1 reads whether its first
+transmitter is its only one off the runner-up key; at p_d = 1 nothing hangs on
+that, so it is not tested. The loop only counts: a batch closes with its event
+count and its per-class and per-network counts, idle being its events minus its
+busy ones and chain collisions a network's attempts in collision events minus
+its undetected lone stations. Time and payload bits are formed from the counts
+when the run ends, each batch's time as the exact sum of count times duration
+over the six classes, rounded once. The warmup is batch 0, counted like the
+others and dropped at the end. One seeded PCG64 stream feeds every draw in a
+fixed order, so a configuration is bit-reproducible: initial counters Wi-Fi then
+LAA; per event the Wi-Fi transmitters by index, then the LAA ones, each drawing
+its detection coin (when one is needed) before its new counter. A draw is only
+masked, or compared with a coin's bound, the integer ceil(p_d * 2**64), so
+``simulate`` reads it packed into a small int in key units: its bits under the
+widest mask, shifted past the station and stage fields, and above them how many
+bounds it reaches, one comparison per bound, 4,096 at a time, each pulled with
+the builtin ``next()``. Where the three do not fit in 64 bits the draw stays
+raw, shifted as a Python int, and so do the bounds. ``simulate`` writes nothing:
+``write_trace`` dumps a run from ``_replay``, a plain per-event loop on its own
+raw copy of the stream, whose coin compares with the float p_d * 2**64.
 """
 from __future__ import annotations
 
@@ -45,7 +47,7 @@ import csv
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from heapq import heapify, heapreplace
+from heapq import heapify, heappop, heappushpop
 from itertools import chain
 from operator import mul
 
@@ -184,16 +186,19 @@ def simulate(cfg: SimConfig) -> SimReport:
                       << shift for c in (coin_w, coin_l))
 
     horizon, warmup = cfg.horizon_events, cfg.warmup_events
-    # Two sentinels at the horizon keep heap[1] and heap[2] defined, for the
-    # lone and the runner-up tests; the run ends before either reaches root.
+    # ``key`` holds the next transmitter, out of the heap, so heap[0] is the
+    # runner-up, for the lone and blind tests; one heappushpop reschedules
+    # a key and hands back the least (the new key, heap untouched, while it
+    # leads). One sentinel at the horizon keeps heap[0] defined.
     draws = _draws(cfg.seed, bits, bounds, shift)
-    heap = [horizon << shift | low] * 2
+    heap = [horizon << shift | low]
     for i in range(n_w + n_l):
         width, mask = (width_w, mask_w) if i < n_w else (width_l, mask_l)
         while (backoff := next(draws) & mask) >= width:
             pass
         heap.append(backoff | i << sb)
     heapify(heap)
+    key = heappop(heap)
     n_batches = min(_BATCHES, horizon - warmup)
     batch_size = (horizon - warmup) // n_batches
     # Batch k ends before event ends[k], whose least key is end_key: batch 0
@@ -209,7 +214,6 @@ def simulate(cfg: SimConfig) -> SimReport:
     n_sw = n_sl = att_w = att_l = und_w = und_l = n_cw = n_cl = n_cc = 0
 
     while True:
-        key = heap[0]
         if key >= end_key:      # end_key <= horizon << shift until the end
             t = key >> shift
             while b_end <= t:   # close every batch that ends by this event
@@ -224,7 +228,7 @@ def simulate(cfg: SimConfig) -> SimReport:
             end_key = b_end << shift
 
         last = key | low        # the largest key that fires with this one
-        if heap[1] > last and heap[2] > last:   # lone: no rival, no coin
+        if heap[0] > last:      # lone: no rival, no coin
             if key & low < laa_low:
                 n_sw += 1
                 while (backoff := next(draws) & mask_w) >= width_w:
@@ -233,18 +237,18 @@ def simulate(cfg: SimConfig) -> SimReport:
                 n_sl += 1
                 while (backoff := next(draws) & mask_l) >= width_l:
                     pass
-            heapreplace(heap, (key & keep) + backoff + one)
+            key = heappushpop(heap, (key & keep) + backoff + one)
             continue
-        # A collision walks the root: each transmitter's new key lies past
-        # last, so the next root is the next station that fires with it, in
-        # station order, Wi-Fi's keys all below split and LAA's from it. A
-        # blind network's first transmitter is its only one, and so may go
-        # undetected in what must be a cross collision, when the runner-up
-        # key, the lesser of the root's children, is not its network's.
+        # A collision walks the held key: each transmitter's new key lies
+        # past last, so the next key is the next station that fires with
+        # it, in station order, Wi-Fi's keys all below split and LAA's from
+        # it. A blind network's first transmitter is its only one, and so
+        # may go undetected in what must be a cross collision, when the
+        # runner-up key, heap[0], is not its network's.
         split = last ^ low | laa_low    # the least LAA key of the event
         if key < split:
             tab = tab_w
-            if blind_w and heap[1] >= split and heap[2] >= split and (
+            if blind_w and heap[0] >= split and (
                     miss_w or coin_w and next(draws) >= coin_w):
                 tab = reset_w
                 und_w += 1
@@ -252,9 +256,8 @@ def simulate(cfg: SimConfig) -> SimReport:
                 width, mask, step = tab[key & smask]
                 while (backoff := next(draws) & mask) >= width:
                     pass
-                heapreplace(heap, key + step + backoff)
+                key = heappushpop(heap, key + step + backoff)
                 att_w += 1
-                key = heap[0]
             if key > last:
                 n_cw += 1
                 continue
@@ -262,7 +265,7 @@ def simulate(cfg: SimConfig) -> SimReport:
         else:                   # with no Wi-Fi, LAA has two or more
             n_cl += 1
         tab = tab_l
-        if blind_l and heap[1] > last and heap[2] > last and (
+        if blind_l and heap[0] > last and (
                 miss_l or coin_l and next(draws) >= coin_l):
             tab = reset_l
             und_l += 1
@@ -270,9 +273,8 @@ def simulate(cfg: SimConfig) -> SimReport:
             width, mask, step = tab[key & smask]
             while (backoff := next(draws) & mask) >= width:
                 pass
-            heapreplace(heap, key + step + backoff)
+            key = heappushpop(heap, key + step + backoff)
             att_l += 1
-            key = heap[0]
 
     return _report(s, batches[1:])
 

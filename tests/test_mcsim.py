@@ -137,7 +137,7 @@ class TestReferenceStream:
                               wifi=WifiParams(w0=32, slot_us=9.1),
                               laa=LaaParams(w0=32)),
             horizon_events=30_000, seed=20, warmup_events=3_000)),
-        # one station: only the two sentinels sit behind its heap key
+        # one station: only the sentinel is left in the heap
         "lone-station": (simulate, SimConfig(
             scenario=Scenario(n_wifi=1, n_laa=0), horizon_events=30_000,
             seed=21, warmup_events=3_000)),
@@ -418,6 +418,11 @@ class TestAgainstReferenceLoop:
              2_000, 0.1, 33)
     @example(2, 2, 4, 52, 4, 1, 1, False, 0.3, 1.0, 2_000, 0.1, 34)
     @example(2, 2, 4, 53, 4, 1, 1, False, 0.3, 1.0, 2_000, 0.1, 35)
+    # one station with a one-slot window stays the least key event after
+    # event (heappushpop hands its new key straight back) until the other
+    # network's station ties it, and then its coin reads heap[0]
+    @example(1, 1, 1, 0, 12, 3, 1, False, 0.3, 1.0, 2_000, 0.1, 36)
+    @example(1, 1, 12, 3, 1, 0, 1, False, 1.0, 0.77, 2_000, 0.1, 37)
     def test_counts_match_reference_loop(self, n_w, n_l, w0_w, m_w, w0_l,
                                          m_l, retry_limit, comparison_mode,
                                          p_dw, p_dl, horizon, warmup_share,
