@@ -9,8 +9,8 @@ by event as an independent cross-check.
 __version__ = "0.1.0"
 
 from .core import (LaaParams, Scenario, Solution, ThroughputReport,
-                   WifiParams, derived_durations, load_priority_class,
-                   scenario_from_dict, scenario_to_dict)
+                   WifiParams, derived_durations, scenario_from_dict,
+                   scenario_to_dict)
 from .ed import EdConfig, dbm_to_mw, detection_probability
 from .solver import ConvergenceError, SolverConfig, solve_coexistence
 from .throughput import (EVENT_CLASSES, coexistence_throughput,
@@ -20,7 +20,7 @@ from .throughput import (EVENT_CLASSES, coexistence_throughput,
 __all__ = [
     "__version__",
     "WifiParams", "LaaParams", "Scenario", "Solution", "ThroughputReport",
-    "load_priority_class", "derived_durations",
+    "derived_durations",
     "scenario_to_dict", "scenario_from_dict",
     "SolverConfig", "ConvergenceError", "solve_coexistence",
     "EVENT_CLASSES", "event_probabilities", "event_weights",

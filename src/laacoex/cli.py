@@ -70,6 +70,8 @@ def _scenario_for_point(axis: str, value, base: Scenario) -> Scenario:
             return replace(base, n_wifi=value,
                            n_laa=base.n_wifi + base.n_laa - value)
         if axis == "retry_limit":
+            if base.comparison_mode:
+                raise ValueError("comparison mode fixes the retry limit at 0")
             return replace(base, laa=replace(base.laa, retry_limit=value))
         if axis == "detection_wifi":
             return replace(base, p_dw=float(value))
@@ -82,10 +84,10 @@ def _scenario_for_point(axis: str, value, base: Scenario) -> Scenario:
 # CSV assembly
 # ---------------------------------------------------------------------------
 
-def _scenario_cells(eff: Scenario) -> dict:
-    """Effective parameters in ``scenario_to_dict`` order, groups prefixed."""
+def _scenario_cells(s: Scenario) -> dict:
+    """Scenario fields in ``scenario_to_dict`` order, groups prefixed."""
     cells = {}
-    for key, value in scenario_to_dict(eff).items():
+    for key, value in scenario_to_dict(s).items():
         if isinstance(value, dict):
             cells.update((f"{key}_{name}", v) for name, v in value.items())
         else:
@@ -115,12 +117,12 @@ _SWEEP_COLUMNS = ("axis", "axis_value", "status") + _SCENARIO_COLUMNS + (
 )
 
 
-def _engine_row(engine: str, eff: Scenario, probs, rep: ThroughputReport,
+def _engine_row(engine: str, s: Scenario, probs, rep: ThroughputReport,
                 **extra) -> dict:
     """Cells both engines fill: the scenario, tau and p from ``probs``,
     every ThroughputReport field and the total throughput; then ``extra``."""
     row = {"engine": engine}
-    row.update(_scenario_cells(eff))
+    row.update(_scenario_cells(s))
     row.update(tau_w=probs.tau_w, tau_l=probs.tau_l, p_w=probs.p_w,
                p_l=probs.p_l)
     row.update((f.name, getattr(rep, f.name))
@@ -132,9 +134,8 @@ def _engine_row(engine: str, eff: Scenario, probs, rep: ThroughputReport,
 
 def analytic_row(s: Scenario, cfg: SolverConfig) -> dict:
     """Solve one scenario analytically and flatten the results to CSV cells."""
-    eff = s.effective()
-    sol = solve_coexistence(eff, cfg)
-    return _engine_row("analytic", eff, sol, coexistence_throughput(eff, sol),
+    sol = solve_coexistence(s, cfg)
+    return _engine_row("analytic", s, sol, coexistence_throughput(s, sol),
                        residual=sol.residual, iterations=sol.iterations)
 
 
@@ -142,11 +143,10 @@ def simulate_row(s: Scenario, seed: int, horizon: int, warmup: int) -> dict:
     """Run the slot-level simulator and flatten measurements to CSV cells."""
     # Imported here, not at module level: only the simulator needs numpy.
     from .mcsim import SimConfig, simulate
-    eff = s.effective()
-    sim = simulate(SimConfig(scenario=eff, horizon_events=horizon,
+    sim = simulate(SimConfig(scenario=s, horizon_events=horizon,
                              seed=seed, warmup_events=warmup))
     row = _engine_row(
-        "simulate", eff, sim, sim, seed=seed, horizon_events=horizon,
+        "simulate", s, sim, sim, seed=seed, horizon_events=horizon,
         warmup_events=warmup,
         stderr_tput_wifi_mbps=sim.stderr["tput_wifi_mbps"],
         stderr_tput_laa_mbps=sim.stderr["tput_laa_mbps"])
@@ -175,16 +175,15 @@ def run_sweep(spec: SweepSpec, cfg: SolverConfig) -> tuple[list[dict], bool]:
     any_failed = False
     wifi_only = {}  # (n, WifiParams) -> report: one solve per baseline
     for value, point in spec.points:
-        eff = point.effective()
         row = {"axis": spec.axis, "axis_value": value, "status": "ok"}
-        row.update(_scenario_cells(eff))
+        row.update(_scenario_cells(point))
         try:
             # the baseline: the point's whole population, all Wi-Fi
-            key = (eff.n_wifi + eff.n_laa, eff.wifi)
+            key = (point.n_wifi + point.n_laa, point.wifi)
             if key not in wifi_only:
                 wifi_only[key] = wifi_only_throughput(*key, cfg)
             baseline = wifi_only[key]
-            coex = coexistence_throughput(eff, solve_coexistence(eff, cfg))
+            coex = coexistence_throughput(point, solve_coexistence(point, cfg))
             row.update(
                 wifi_only_total_mbps=baseline.tput_wifi_mbps,
                 wifi_only_per_user_mbps=baseline.per_user_wifi_mbps,

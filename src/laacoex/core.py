@@ -98,31 +98,6 @@ class LaaParams:
         _require(0 < self.pdcch_fraction <= 1, "pdcch_fraction must be in (0, 1]")
 
 
-# Channel-access priority classes: defer period, min window, max stage, TXOP.
-_PRIORITY_CLASSES = {
-    1: (25.0, 4, 1, 2000.0),
-    2: (25.0, 8, 1, 3000.0),
-    3: (43.0, 16, 2, 8000.0),
-    4: (79.0, 16, 6, 8000.0),
-}
-
-
-def load_priority_class(class_id: int, long_txop: bool = False) -> LaaParams:
-    """LBT parameters for one of the four channel-access priority classes.
-
-    Classes 3 and 4 default to an 8 ms TXOP; ``long_txop`` selects the 10 ms
-    variant allowed when no coexisting network is expected. The flag has no
-    effect on classes 1 and 2.
-    """
-    if class_id not in _PRIORITY_CLASSES:
-        raise ValueError(f"unknown priority class {class_id!r}; expected 1..4")
-    defer_us, w0, m, txop_us = _PRIORITY_CLASSES[class_id]
-    if long_txop and class_id in (3, 4):
-        txop_us = 10_000.0
-    return LaaParams(w0=w0, m=m, retry_limit=1, defer_us=defer_us,
-                     txop_us=txop_us, next_tx_delay_us=500.0)
-
-
 def derived_durations(p: WifiParams) -> tuple[float, float, float]:
     """Payload, MAC-header and ACK airtimes in microseconds.
 
@@ -143,7 +118,9 @@ class Scenario:
     (1.0 = perfect sensing). ``comparison_mode`` reproduces the hardware
     testbed conventions: the LAA retry limit drops to 0, the LAA turnaround
     delay equals DIFS, and both backoff chains reset immediately after their
-    maximum stage (no extra stay at the top window).
+    maximum stage (no extra stay at the top window). The first two are
+    written into ``laa`` when the scenario is built, so ``laa`` always holds
+    the parameters the model runs on; ``replace`` applies them again.
     """
 
     n_wifi: int
@@ -161,27 +138,18 @@ class Scenario:
         _require(self.n_wifi + self.n_laa >= 1, "n_wifi + n_laa must be >= 1")
         _require(0 <= self.p_dw <= 1, "p_dw must be in [0, 1]")
         _require(0 <= self.p_dl <= 1, "p_dl must be in [0, 1]")
-
-    def effective(self) -> "Scenario":
-        """Scenario with comparison-mode overrides applied to the LAA side,
-        or ``self`` when they already hold, the delay as DIFS's very value
-        and type (an int 34 echoes as 34, not 34.0)."""
-        laa, difs = self.laa, self.wifi.difs_us
-        delay = laa.next_tx_delay_us
-        if not self.comparison_mode or (laa.retry_limit == 0 and delay == difs
-                                        and type(delay) is type(difs)):
-            return self
-        return replace(self, laa=replace(laa, retry_limit=0,
-                                         next_tx_delay_us=difs))
+        if self.comparison_mode:
+            # DIFS's very value and type: an int 34 echoes as 34, not 34.0
+            object.__setattr__(self, "laa", replace(
+                self.laa, retry_limit=0, next_tx_delay_us=self.wifi.difs_us))
 
     def chains(self) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
         """(w0, m, extra_stays) of the Wi-Fi and of the LAA backoff chain,
         each holding its top window for ``extra_stays`` further failures
         before the stage resets; in comparison mode neither holds one."""
         wifi, laa = self.wifi, self.laa
-        extra_w, extra_l = ((0, 0) if self.comparison_mode
-                            else (1, laa.retry_limit))
-        return (wifi.w0, wifi.m, extra_w), (laa.w0, laa.m, extra_l)
+        extra_w = 0 if self.comparison_mode else 1
+        return (wifi.w0, wifi.m, extra_w), (laa.w0, laa.m, laa.retry_limit)
 
 
 @dataclass(frozen=True)

@@ -138,7 +138,7 @@ def simulate(cfg: SimConfig) -> SimReport:
     class, duration and payload (none for a cross event) do not change. A
     detection probability of 0 or 1 draws no coin.
     """
-    s = cfg.scenario.effective()
+    s = cfg.scenario
     n_w, n_l, chains = s.n_wifi, s.n_laa, s.chains()
 
     # Heap of fire << shift | station << sb | stage, fire being the absolute
@@ -416,7 +416,7 @@ def write_trace(out, cfg: SimConfig) -> None:
     """Write the per-event CSV dump of ``cfg``'s run, from ``_replay``, to
     the open text file ``out``: index, class, duration, then each station's
     stage and counter as the event begins."""
-    s = cfg.scenario.effective()
+    s = cfg.scenario
     # formatted once; a float's str is what csv would write
     duration = dict(zip(EVENT_CLASSES, map(str, event_durations(s))))
     header = ["event_index", "event_class", "duration_us", *(

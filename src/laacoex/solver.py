@@ -88,7 +88,7 @@ def _side(chain, n_own: int, n_other: int, p_d: float):
 
 
 def _sides(s: Scenario):
-    """The Wi-Fi and the LAA side of an effective scenario's coupled map."""
+    """The Wi-Fi and the LAA side of a scenario's coupled map."""
     wifi_chain, laa_chain = s.chains()
     return (_side(wifi_chain, s.n_wifi, s.n_laa, s.p_dw),
             _side(laa_chain, s.n_laa, s.n_wifi, s.p_dl))
@@ -158,7 +158,6 @@ def solve_coexistence(s: Scenario, cfg: SolverConfig = SolverConfig()) -> Soluti
     Raises ConvergenceError (with the last iterate attached) if neither the
     damped iteration nor the bisection fallback meets the tolerance.
     """
-    s = s.effective()
     wifi, laa = _sides(s)
     tau_w = 2.0 / (s.wifi.w0 + 1.0) if s.n_wifi else 0.0
     tau_l = 2.0 / (s.laa.w0 + 1.0) if s.n_laa else 0.0

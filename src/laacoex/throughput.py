@@ -19,6 +19,16 @@ EVENT_CLASSES = ("idle", "wifi-success", "laa-success",
                  "wifi-collision", "laa-collision", "cross-collision")
 
 
+def _busy_and_success(tau: float, n: int) -> tuple[float, float]:
+    """One network's (p_tr, p_s) for n stations that each transmit with
+    probability tau; without stations p_tr is 1.0 - 1.0 and p_s is 0.0."""
+    p_tr = 1.0 - (1.0 - tau) ** n
+    # min() guards the one-node case, where rounding in the ratio can push
+    # the conditional a few ulp above 1
+    return p_tr, (min(1.0, n * tau * (1.0 - tau) ** (n - 1) / p_tr)
+                  if p_tr > 0.0 else 0.0)
+
+
 def event_probabilities(sol: Solution, n_wifi: int,
                         n_laa: int) -> tuple[float, float, float, float]:
     """(p_trw, p_sw, p_trl, p_sl): per network, the probability that at
@@ -27,20 +37,8 @@ def event_probabilities(sol: Solution, n_wifi: int,
     An empty network contributes p_tr = 0 and, by convention, p_s = 0 (the
     conditional is undefined but every downstream product vanishes).
     """
-    p_trw = p_sw = p_trl = p_sl = 0.0
-    if n_wifi:
-        p_trw = 1.0 - (1.0 - sol.tau_w) ** n_wifi
-        if p_trw > 0.0:
-            # min() guards the one-node case, where rounding in the ratio
-            # can push the conditional a few ulp above 1
-            p_sw = min(1.0, n_wifi * sol.tau_w
-                       * (1.0 - sol.tau_w) ** (n_wifi - 1) / p_trw)
-    if n_laa:
-        p_trl = 1.0 - (1.0 - sol.tau_l) ** n_laa
-        if p_trl > 0.0:
-            p_sl = min(1.0, n_laa * sol.tau_l
-                       * (1.0 - sol.tau_l) ** (n_laa - 1) / p_trl)
-    return p_trw, p_sw, p_trl, p_sl
+    return (*_busy_and_success(sol.tau_w, n_wifi),
+            *_busy_and_success(sol.tau_l, n_laa))
 
 
 def event_weights(p_trw: float, p_sw: float, p_trl: float,
@@ -115,7 +113,6 @@ def coexistence_throughput(s: Scenario, sol: Solution) -> ThroughputReport:
     """Throughput of both networks at a solved fixed point: each network's
     success weight times its payload bits, over the expected event time,
     the class weights times the class durations summed in class order."""
-    s = s.effective()
     probs = event_probabilities(sol, s.n_wifi, s.n_laa)
     weights, durations = event_weights(*probs), event_durations(s)
     t_e = 0.0

@@ -212,7 +212,7 @@ class TestRunCommand:
             taus[mode] = parse_csv(out)[2][0]["tau_w"]
         s = Scenario(n_wifi=2, n_laa=0, wifi=WifiParams(w0=4, m=1),
                      comparison_mode=True)
-        assert taus[True] == repr(solver.solve_coexistence(s.effective()).tau_w)
+        assert taus[True] == repr(solver.solve_coexistence(s).tau_w)
         assert taus[True] != taus[False]
 
     def test_pure_wifi_rows_share_event_durations(self, capsys):
@@ -449,6 +449,18 @@ class TestSweepCommand:
         code, _, err = run_cli(capsys, "sweep", str(spec))
         assert code == 2
         assert "total_nodes" in err
+
+    def test_retry_limit_axis_refused_in_comparison_mode(self, tmp_path,
+                                                         capsys):
+        # comparison mode fixes the retry limit, so no value could move it
+        spec = tmp_path / "fixed.yaml"
+        spec.write_text("axis: retry_limit\nrange: [0, 3, 6]\n"
+                        "base: {n_wifi: 2, n_laa: 2, comparison_mode: true}\n")
+        code, out, err = run_cli(capsys, "sweep", str(spec))
+        assert code == 2
+        assert out == ""
+        assert err == ("error: retry_limit value 0: comparison mode fixes "
+                       "the retry limit at 0\n")
 
     def test_failed_points_flagged_and_exit_3(self, tmp_path, capsys):
         # 2+2 with the default chains bottoms out near 1e-17; the row must
@@ -898,7 +910,7 @@ class TestBisectionFallback:
         "from laacoex import cli, solver\n"
         "s = cli.scenario_from_dict(cli._load_input(sys.argv[1]))\n"
         "try:\n"
-        "    solver._solve_by_bisection(*solver._sides(s.effective()),\n"
+        "    solver._solve_by_bisection(*solver._sides(s),\n"
         "                               solver.SolverConfig(),\n"
         "                               int(sys.argv[2]))\n"
         "except solver.ConvergenceError:\n"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -5,38 +7,7 @@ from hypothesis import strategies as st
 
 from laacoex import cli
 from laacoex.core import (LaaParams, Scenario, WifiParams, derived_durations,
-                          load_priority_class, scenario_from_dict,
-                          scenario_to_dict)
-
-
-class TestPriorityClasses:
-    @pytest.mark.parametrize("class_id, defer, w0, m, txop", [
-        (1, 25.0, 4, 1, 2000.0),
-        (2, 25.0, 8, 1, 3000.0),
-        (3, 43.0, 16, 2, 8000.0),
-        (4, 79.0, 16, 6, 8000.0),
-    ])
-    def test_table_values(self, class_id, defer, w0, m, txop):
-        p = load_priority_class(class_id)
-        assert (p.defer_us, p.w0, p.m, p.txop_us) == (defer, w0, m, txop)
-        assert p.retry_limit == 1
-        assert p.next_tx_delay_us == 500.0
-
-    def test_long_txop_variant(self):
-        assert load_priority_class(3, long_txop=True).txop_us == 10_000.0
-        assert load_priority_class(4, long_txop=True).txop_us == 10_000.0
-        # fixed for the low classes
-        assert load_priority_class(1, long_txop=True).txop_us == 2000.0
-
-    @pytest.mark.parametrize("bad", [0, 5, -1, 100])
-    def test_unknown_class(self, bad):
-        with pytest.raises(ValueError, match="class"):
-            load_priority_class(bad)
-
-    def test_preset_windows_are_powers_of_two(self):
-        for class_id in (1, 2, 3, 4):
-            w0 = load_priority_class(class_id).w0
-            assert w0 & (w0 - 1) == 0
+                          scenario_from_dict, scenario_to_dict)
 
 
 class TestDerivedDurations:
@@ -194,38 +165,48 @@ class TestYamlLoader:
 
 
 class TestComparisonMode:
+    """A comparison-mode scenario holds the overrides from construction."""
+
+    RAW = dict(n_wifi=1, n_laa=1, wifi=WifiParams(difs_us=34.0),
+               laa=LaaParams(retry_limit=4, next_tx_delay_us=500.0))
+
     def test_overrides_applied(self):
-        s = Scenario(n_wifi=1, n_laa=1,
-                     wifi=WifiParams(difs_us=34.0),
-                     laa=LaaParams(retry_limit=4, next_tx_delay_us=500.0),
-                     comparison_mode=True)
-        eff = s.effective()
-        assert eff.laa.retry_limit == 0
-        assert eff.laa.next_tx_delay_us == 34.0
-        assert eff.comparison_mode is True
-        # raw values untouched
-        assert s.laa.retry_limit == 4
+        s = Scenario(**self.RAW, comparison_mode=True)
+        assert s.laa.retry_limit == 0
+        assert s.laa.next_tx_delay_us == 34.0
+        assert s.chains()[1] == (16, 2, 0)
 
     def test_noop_without_flag(self):
-        s = Scenario(n_wifi=1, n_laa=1)
-        assert s.effective() is s
+        s = Scenario(**self.RAW)
+        assert s.laa is self.RAW["laa"]
+        assert s.chains() == ((16, 6, 1), (16, 2, 4))
 
     def test_resolving_twice_returns_the_same_scenario(self):
-        eff = Scenario(n_wifi=1, n_laa=1, comparison_mode=True).effective()
-        assert eff.effective() is eff
+        # replace applies the overrides again: to a scenario that holds
+        # them, or to the raw values, they give the same scenario
+        s = Scenario(**self.RAW, comparison_mode=True)
+        assert replace(s) == s
+        assert replace(s, laa=self.RAW["laa"]) == s
+        assert replace(Scenario(**self.RAW), comparison_mode=True) == s
+
+    def test_replace_reapplies_the_overrides(self):
+        s = Scenario(**self.RAW, comparison_mode=True)
+        moved = replace(s, wifi=replace(s.wifi, difs_us=50.0))
+        assert moved.laa.next_tx_delay_us == 50.0
 
     def test_equal_delay_of_another_type_is_replaced(self):
-        # an int DIFS echoes as an int, as the overrides write it
+        # an int DIFS stays an int, so it echoes as 34, not 34.0
         s = Scenario(n_wifi=1, n_laa=1, wifi=WifiParams(difs_us=34),
                      laa=LaaParams(retry_limit=0, next_tx_delay_us=34.0),
                      comparison_mode=True)
-        assert type(s.effective().laa.next_tx_delay_us) is int
+        assert type(s.laa.next_tx_delay_us) is int
 
     def test_visible_in_dict_form(self):
-        s = Scenario(n_wifi=1, n_laa=1, comparison_mode=True)
-        echoed = scenario_to_dict(s.effective())
+        s = Scenario(**self.RAW, comparison_mode=True)
+        echoed = scenario_to_dict(s)
         assert echoed["laa"]["retry_limit"] == 0
         assert echoed["laa"]["next_tx_delay_us"] == s.wifi.difs_us
+        assert scenario_from_dict(echoed) == s
 
 
 def test_params_are_immutable():

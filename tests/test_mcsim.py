@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from laacoex import EVENT_CLASSES, mcsim
 from laacoex.core import (LaaParams, Scenario, ThroughputReport, WifiParams,
-                          derived_durations, load_priority_class)
+                          derived_durations)
 from laacoex.mcsim import (_POOL_CHUNK, MAX_STATIONS, SimConfig, _draws,
                            _exact_dot, _pack, _replay, simulate, write_trace)
 from laacoex.solver import solve_coexistence
@@ -43,6 +43,13 @@ class TestDeterminism:
         a = SimConfig(scenario=case3_scenario(), horizon_events=50_000, seed=1)
         b = SimConfig(scenario=case3_scenario(), horizon_events=50_000, seed=2)
         assert simulate(a) != simulate(b)
+
+
+# LBT priority classes 1 and 4 with a 500 us turnaround, one extra stay
+CLASS1_LAA = LaaParams(w0=4, m=1, retry_limit=1, defer_us=25.0,
+                       txop_us=2000.0, next_tx_delay_us=500.0)
+CLASS4_LAA = LaaParams(w0=16, m=6, retry_limit=1, defer_us=79.0,
+                       txop_us=8000.0, next_tx_delay_us=500.0)
 
 
 def class1_scenario(n_wifi, n_laa, r_w=9.0, r_l=7.8):
@@ -99,7 +106,7 @@ class TestReferenceStream:
         "class4-20+20-detection": (simulate, SimConfig(
             scenario=Scenario(n_wifi=20, n_laa=20,
                               wifi=WifiParams(data_rate_mbps=9.0),
-                              laa=load_priority_class(4),
+                              laa=CLASS4_LAA,
                               p_dw=0.546, p_dl=0.546),
             horizon_events=30_000, seed=12, warmup_events=3_000)),
         # windows 15, 30, ... and 12, 24, 48 reject draws above the window
@@ -129,7 +136,7 @@ class TestReferenceStream:
         "long-idle-runs": (simulate, SimConfig(
             scenario=Scenario(n_wifi=1, n_laa=1,
                               wifi=WifiParams(w0=64, m=6, data_rate_mbps=54.0),
-                              laa=load_priority_class(4), p_dw=0.5),
+                              laa=CLASS4_LAA, p_dw=0.5),
             horizon_events=60_000, seed=19, warmup_events=3_000)),
         # a slot that is no whole number of ulps: every idle addition rounds
         "fractional-slot": (simulate, SimConfig(
@@ -148,7 +155,7 @@ class TestReferenceStream:
             horizon_events=20_000, seed=22, warmup_events=300)),
         # MAX_STATIONS stations: the widest station field of the heap keys
         "station-cap": (simulate, SimConfig(
-            scenario=Scenario(n_wifi=512, n_laa=512, laa=load_priority_class(4),
+            scenario=Scenario(n_wifi=512, n_laa=512, laa=CLASS4_LAA,
                               p_dw=0.546, p_dl=0.546),
             horizon_events=3_000, seed=23, warmup_events=300)),
         # a top window of 2**64 slots: the full-width mask
@@ -196,11 +203,11 @@ class TestReferenceStream:
         # the draws stay raw
         "wide-window-coin": (simulate, SimConfig(
             scenario=Scenario(n_wifi=2, n_laa=2, wifi=WifiParams(w0=4, m=60),
-                              laa=load_priority_class(1), p_dw=0.3, p_dl=0.77),
+                              laa=CLASS1_LAA, p_dw=0.3, p_dl=0.77),
             horizon_events=30_000, seed=31, warmup_events=3_000)),
         "wide-window-coin-raw": (simulate, SimConfig(
             scenario=Scenario(n_wifi=2, n_laa=2, wifi=WifiParams(w0=4, m=61),
-                              laa=load_priority_class(1), p_dw=0.3, p_dl=0.77),
+                              laa=CLASS1_LAA, p_dw=0.3, p_dl=0.77),
             horizon_events=30_000, seed=32, warmup_events=3_000)),
         # the coin bounds at their ends, 1 and 2**64 - 2**11
         "coin-extremes": (simulate, SimConfig(
@@ -371,7 +378,7 @@ class TestReferenceStream:
         # are each network's payload bits, and a throughput is their quotient
         run, cfg = self.RUNS[name]
         report = run(cfg)
-        s = cfg.scenario.effective()
+        s = cfg.scenario
         counts = [report.event_counts[c] for c in EVENT_CLASSES]
         durations = [s.wifi.slot_us, report.t_sw_us, report.t_sl_us,
                      report.t_cw_us, report.t_cl_us, report.t_cc_us]
@@ -528,7 +535,7 @@ class TestReportShape:
                                 + c["cross-collision"]) / 20_000
         assert report.p_sl == c["laa-success"] / (c["laa-success"]
                                                   + c["laa-collision"])
-        d = dict(zip(EVENT_CLASSES, event_durations(s.effective())))
+        d = dict(zip(EVENT_CLASSES, event_durations(s)))
         assert (report.t_sw_us, report.t_cw_us, report.t_sl_us,
                 report.t_cl_us, report.t_cc_us) == (
             d["wifi-success"], d["wifi-collision"], d["laa-success"],
@@ -537,22 +544,24 @@ class TestReportShape:
 
 
 class TestRawScenario:
-    """Every public entry point resolves a raw comparison-mode scenario
-    itself: the raw and the effective scenario give the same numbers."""
+    """A comparison-mode scenario built from raw LAA values holds the
+    overrides, so every engine runs on retry limit 0 and a DIFS turnaround,
+    as on the scenario built from the overrides' own values."""
 
-    RAW = class1_scenario(1, 1, 54.0, 70.2)   # acceptance C6's red point
+    EFF = class1_scenario(1, 1, 54.0, 70.2)   # acceptance C6's red point
+    RAW = replace(EFF, laa=replace(EFF.laa, retry_limit=5,
+                                   next_tx_delay_us=900.0))
 
     def test_engines_agree_on_raw_and_effective(self):
-        eff = self.RAW.effective()
-        assert eff != self.RAW
-        assert eff.effective() is eff
+        assert self.RAW == self.EFF and self.RAW.chains()[1] == (4, 1, 0)
+        turnaround = self.EFF.laa.txop_us + self.EFF.wifi.difs_us
         sol = solve_coexistence(self.RAW)
-        assert sol == solve_coexistence(eff)
-        assert (coexistence_throughput(self.RAW, sol)
-                == coexistence_throughput(eff, sol))
+        assert sol == solve_coexistence(self.EFF)
+        assert coexistence_throughput(self.RAW, sol).t_sl_us == turnaround
         run = dict(horizon_events=20_000, seed=7, warmup_events=1_000)
-        assert (simulate(SimConfig(scenario=self.RAW, **run))
-                == simulate(SimConfig(scenario=eff, **run)))
+        report = simulate(SimConfig(scenario=self.RAW, **run))
+        assert report == simulate(SimConfig(scenario=self.EFF, **run))
+        assert report.t_sl_us == turnaround
 
 
 class TestAgainstAnalyticModel:
@@ -762,7 +771,6 @@ class TestExactTwoNodeChain:
     """
 
     def exact_throughputs(self, s):
-        s = s.effective()
         max_stage = s.wifi.m  # comparison mode only: both chains reset at m
         assert s.comparison_mode and s.n_wifi == s.n_laa == 1
         windows = [2 ** min(j, s.wifi.m) * s.wifi.w0

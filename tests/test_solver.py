@@ -66,7 +66,7 @@ class TestWifiOnly:
 def fallback(s, spent, cfg=SolverConfig()):
     """The bisection fallback alone, as after ``spent`` stalled damped
     iterations."""
-    return solver._solve_by_bisection(*solver._sides(s.effective()), cfg,
+    return solver._solve_by_bisection(*solver._sides(s), cfg,
                                       spent)
 
 
@@ -154,23 +154,25 @@ def test_residual_honored_at_solution(scenario):
     assert sol.residual <= cfg.tolerance
 
     # re-derive the map at the returned point with the public chain functions
-    eff = scenario.effective()
-    n_w, n_l = eff.n_wifi, eff.n_laa
+    n_w, n_l = scenario.n_wifi, scenario.n_laa
     p_w = p_l = 0.0
     if n_w:
         idle = (1.0 - sol.tau_w) ** (n_w - 1)
-        p_w = (1.0 - (1.0 - sol.tau_l) ** n_l) * eff.p_dw * idle + 1.0 - idle
+        p_w = ((1.0 - (1.0 - sol.tau_l) ** n_l) * scenario.p_dw * idle
+               + 1.0 - idle)
     if n_l:
         idle = (1.0 - sol.tau_l) ** (n_l - 1)
-        p_l = (1.0 - (1.0 - sol.tau_w) ** n_w) * eff.p_dl * idle + 1.0 - idle
+        p_l = ((1.0 - (1.0 - sol.tau_w) ** n_w) * scenario.p_dl * idle
+               + 1.0 - idle)
     assert p_w == pytest.approx(sol.p_w, abs=1e-12)
     assert p_l == pytest.approx(sol.p_l, abs=1e-12)
     if n_w:
-        chain = chain_tau(eff.wifi.w0, eff.wifi.m,
-                          0 if eff.comparison_mode else 1)(p_w)
+        chain = chain_tau(scenario.wifi.w0, scenario.wifi.m,
+                          0 if scenario.comparison_mode else 1)(p_w)
         assert abs(chain - sol.tau_w) <= cfg.tolerance
     if n_l:
-        chain = chain_tau(eff.laa.w0, eff.laa.m, eff.laa.retry_limit)(p_l)
+        chain = chain_tau(scenario.laa.w0, scenario.laa.m,
+                          scenario.laa.retry_limit)(p_l)
         assert abs(chain - sol.tau_l) <= cfg.tolerance
 
 

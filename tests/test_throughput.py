@@ -98,7 +98,7 @@ class TestExpectedEventTime:
     def test_sums_in_class_order(self, preset):
         # t_e is accumulated left to right in class order: a compensated
         # or reordered sum would change the goldens' last digits
-        s = scenario_from_dict(cli._load_input(preset)).effective()
+        s = scenario_from_dict(cli._load_input(preset))
         sol_ = solve_coexistence(s)
         t_e = 0.0
         for weight, duration in zip(
