@@ -14,7 +14,10 @@ import re
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
+from functools import cache
 from importlib import resources
+from itertools import repeat
+from operator import attrgetter
 
 import yaml
 
@@ -84,18 +87,21 @@ def _scenario_for_point(axis: str, value, base: Scenario) -> Scenario:
 # CSV assembly
 # ---------------------------------------------------------------------------
 
+# Each scenario field's column and attribute path, in ``scenario_to_dict``
+# order: a group's fields are prefixed by the group's name.
+_SCENARIO_COLUMNS, _SCENARIO_PATHS = zip(*(
+    (f"{key}_{name}", f"{key}.{name}") if name else (key, key)
+    for key, value in scenario_to_dict(Scenario(n_wifi=1, n_laa=0)).items()
+    for name in (value if isinstance(value, dict) else ("",))))
+_scenario_values = attrgetter(*_SCENARIO_PATHS)
+_REPORT_FIELDS = tuple(f.name for f in fields(ThroughputReport))
+_report_values = attrgetter(*_REPORT_FIELDS)
+
+
 def _scenario_cells(s: Scenario) -> dict:
     """Scenario fields in ``scenario_to_dict`` order, groups prefixed."""
-    cells = {}
-    for key, value in scenario_to_dict(s).items():
-        if isinstance(value, dict):
-            cells.update((f"{key}_{name}", v) for name, v in value.items())
-        else:
-            cells[key] = value
-    return cells
+    return dict(zip(_SCENARIO_COLUMNS, _scenario_values(s)))
 
-
-_SCENARIO_COLUMNS = tuple(_scenario_cells(Scenario(n_wifi=1, n_laa=0)))
 
 _EVENT_COLUMNS = tuple(f"{cls.replace('-', '_')}_events"
                        for cls in EVENT_CLASSES)
@@ -121,12 +127,9 @@ def _engine_row(engine: str, s: Scenario, probs, rep: ThroughputReport,
                 **extra) -> dict:
     """Cells both engines fill: the scenario, tau and p from ``probs``,
     every ThroughputReport field and the total throughput; then ``extra``."""
-    row = {"engine": engine}
-    row.update(_scenario_cells(s))
-    row.update(tau_w=probs.tau_w, tau_l=probs.tau_l, p_w=probs.p_w,
-               p_l=probs.p_l)
-    row.update((f.name, getattr(rep, f.name))
-               for f in fields(ThroughputReport))
+    row = {"engine": engine, **_scenario_cells(s), "tau_w": probs.tau_w,
+           "tau_l": probs.tau_l, "p_w": probs.p_w, "p_l": probs.p_l}
+    row.update(zip(_REPORT_FIELDS, _report_values(rep)))
     row["tput_total_mbps"] = rep.tput_wifi_mbps + rep.tput_laa_mbps
     row.update(extra)
     return row
@@ -201,18 +204,15 @@ def run_sweep(spec: SweepSpec, cfg: SolverConfig) -> tuple[list[dict], bool]:
     return rows, any_failed
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)       # a float's str is its shortest repr
-
-
 def _write_csv(out, header, rows) -> None:
+    """Each row's cells in ``header`` order, a missing one blank; a bool
+    reads true or false, and a float its str, which is its shortest repr."""
     out.write(f"# laacoex {__version__}\n")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_format_cell(row.get(col, "")) for col in header])
+    writer.writerows(["true" if v is True else "false" if v is False
+                      else str(v) for v in map(row.get, header, repeat(""))]
+                     for row in rows)
 
 
 def _output_path(path: str) -> str:
@@ -265,9 +265,13 @@ _YamlLoader.add_implicit_resolver(
     list("-+0123456789."))
 
 
+@cache
+def _presets():     # the bundled preset directory, found once per process
+    return resources.files("laacoex").joinpath("presets")
+
+
 def preset_names() -> list[str]:
-    files = resources.files("laacoex").joinpath("presets")
-    return sorted(p.name[:-len(".yaml")] for p in files.iterdir()
+    return sorted(p.name[:-len(".yaml")] for p in _presets().iterdir()
                   if p.name.endswith(".yaml"))
 
 
@@ -278,8 +282,7 @@ def _load_input(arg: str) -> dict:
             text = fh.read()
     else:
         name = arg[:-5] if arg.endswith(".yaml") else arg
-        candidate = resources.files("laacoex").joinpath(
-            "presets", f"{name}.yaml")
+        candidate = _presets().joinpath(f"{name}.yaml")
         if not candidate.is_file():
             raise ValueError(
                 f"{arg!r} is neither a file nor a bundled preset; "

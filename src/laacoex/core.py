@@ -6,7 +6,7 @@ across parallel workers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from ._fields import check_field_types, check_keys
 from .ed import EdConfig, detection_probability
@@ -194,16 +194,9 @@ _SCALAR_FIELDS = ("n_wifi", "n_laa", "p_dw", "p_dl", "comparison_mode")
 
 
 def scenario_to_dict(s: Scenario) -> dict:
-    """Plain-dict form of a scenario, suitable for YAML round-tripping."""
-    return {
-        "n_wifi": s.n_wifi,
-        "n_laa": s.n_laa,
-        "wifi": {f.name: getattr(s.wifi, f.name) for f in fields(WifiParams)},
-        "laa": {f.name: getattr(s.laa, f.name) for f in fields(LaaParams)},
-        "p_dw": s.p_dw,
-        "p_dl": s.p_dl,
-        "comparison_mode": s.comparison_mode,
-    }
+    """Plain-dict form of a scenario, suitable for YAML round-tripping: its
+    fields in order, each parameter group a nested mapping."""
+    return asdict(s)
 
 
 def _params_from_dict(cls, mapping: dict, where: str):
@@ -240,7 +233,9 @@ def scenario_from_dict(data: dict) -> Scenario:
     Besides scalar ``p_dw`` / ``p_dl``, the optional ``ed_wifi`` / ``ed_laa``
     blocks derive the detection probabilities from an energy-detector
     configuration (threshold_dbm, snr_db or signal_power_dbm,
-    noise_power_dbm, samples).
+    noise_power_dbm, samples). With ``comparison_mode``, ``laa.retry_limit``
+    and ``laa.next_tx_delay_us`` may be given only at the values the mode
+    sets, 0 and ``wifi.difs_us``; any other value is refused, not dropped.
     """
     check_keys(data, "scenario",
                _SCALAR_FIELDS + ("wifi", "laa", "ed_wifi", "ed_laa"),
@@ -259,4 +254,10 @@ def scenario_from_dict(data: dict) -> Scenario:
         _require("p_dl" not in data,
                  "give either p_dl or ed_laa, not both")
         kwargs["p_dl"] = _detection_from_block(data["ed_laa"], "ed_laa")
-    return Scenario(**kwargs)
+    s = Scenario(**kwargs)
+    # only comparison mode moves a field; it must not move a given one
+    for name, value in data.get("laa", {}).items():
+        _require(value == getattr(s.laa, name),
+                 f"laa: {name} {value!r} contradicts comparison mode, which "
+                 f"sets it to {getattr(s.laa, name)!r}")
+    return s

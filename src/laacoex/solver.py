@@ -165,9 +165,12 @@ def solve_coexistence(s: Scenario, cfg: SolverConfig = SolverConfig()) -> Soluti
     tolerance = cfg.tolerance
     checkpoint = float("inf")
     for iteration in range(1, _MAX_ITERATIONS + 1):
-        (new_w, p_w), (new_l, p_l) = wifi(tau_w, tau_l), laa(tau_l, tau_w)
+        new_w, p_w = wifi(tau_w, tau_l)
+        new_l, p_l = laa(tau_l, tau_w)
         step_w, step_l = new_w - tau_w, new_l - tau_l
-        residual = max(abs(step_w), abs(step_l))
+        residual = abs(step_w)   # max(|step_w|, |step_l|) without the call
+        if abs(step_l) > residual:
+            residual = abs(step_l)
         if residual <= tolerance:
             return Solution(tau_w=tau_w, tau_l=tau_l, p_w=p_w, p_l=p_l,
                             residual=residual, iterations=iteration)

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import laacoex
 from laacoex import cli, solver, throughput
 from laacoex.core import (LaaParams, Scenario, Solution, ThroughputReport,
-                          WifiParams)
+                          WifiParams, scenario_to_dict)
 
 SRC_DIR = Path(laacoex.__file__).resolve().parent.parent
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "bench" / "golden"
@@ -77,7 +77,8 @@ class TestRunCommand:
         assert float(row["tput_laa_mbps"]) == pytest.approx(5.26, rel=0.05)
 
     def test_effective_parameters_echoed(self, capsys):
-        # the preset asks for retry_limit 1; comparison mode must echo 0
+        # the preset leaves retry_limit at its default 1; comparison mode
+        # must echo 0
         _, out, _ = run_cli(capsys, "run", "table4_case2")
         _, _, rows = parse_csv(out)
         assert rows[0]["laa_retry_limit"] == "0"
@@ -166,6 +167,35 @@ class TestRunCommand:
         assert code == 2
         assert out == ""
         assert re.search(rf"\b{field}\b", err)
+
+    @pytest.mark.parametrize("laa, field", [
+        ("retry_limit: 3", "retry_limit"),
+        ("next_tx_delay_us: 123.0", "next_tx_delay_us"),
+        ("retry_limit: 0, next_tx_delay_us: 35", "next_tx_delay_us")])
+    def test_comparison_mode_refuses_a_value_it_sets(self, tmp_path, capsys,
+                                                     laa, field):
+        # the mode sets both fields; any other value in the file is refused,
+        # not silently dropped
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(f"n_wifi: 1\nn_laa: 1\nlaa: {{{laa}}}\n"
+                       "comparison_mode: true\n")
+        code, out, err = run_cli(capsys, "run", str(bad))
+        assert code == 2
+        assert out == ""
+        assert re.search(rf"\blaa: {field}\b", err)
+
+    @pytest.mark.parametrize("difs", ["34", "34.0"])
+    def test_comparison_mode_accepts_the_values_it_sets(self, tmp_path,
+                                                        capsys, difs):
+        # equal values pass, whatever their number type; DIFS is echoed
+        path = tmp_path / "ok.yaml"
+        path.write_text(f"n_wifi: 1\nn_laa: 1\nwifi: {{difs_us: {difs}}}\n"
+                        "laa: {retry_limit: 0, next_tx_delay_us: 34.0}\n"
+                        "comparison_mode: true\n")
+        code, out, _ = run_cli(capsys, "run", str(path))
+        assert code == 0
+        row = parse_csv(out)[2][0]
+        assert row["laa_next_tx_delay_us"] == row["wifi_difs_us"] == difs
 
     @pytest.mark.parametrize("engine", ["analytic", "simulate"])
     def test_overflowing_durations_exit_3(self, tmp_path, capsys, engine):
@@ -954,6 +984,40 @@ SWEEP_HEADER = ("axis", "axis_value", "status") + SCENARIO_HEADER + (
     "wifi_only_total_mbps", "wifi_only_per_user_mbps",
     "coex_tput_wifi_mbps", "coex_tput_laa_mbps", "coex_total_mbps",
     "coex_per_user_wifi_mbps", "coex_per_user_laa_mbps")
+
+
+# Scenarios for the CSV cells: an int or a float DIFS, which comparison mode
+# copies into the LAA delay, and every field off its default.
+_cell_scenarios = st.builds(
+    Scenario, n_wifi=st.integers(0, 8), n_laa=st.integers(1, 8),
+    wifi=st.builds(WifiParams, w0=st.integers(1, 64), m=st.integers(0, 8),
+                   payload_bytes=st.integers(1, 10**4),
+                   difs_us=st.one_of(st.integers(1, 100),
+                                     st.floats(1.0, 100.0))),
+    laa=st.builds(LaaParams, retry_limit=st.integers(0, 8),
+                  txop_us=st.floats(1.0, 1e4),
+                  next_tx_delay_us=st.floats(1.0, 1e3)),
+    p_dw=st.floats(0.0, 1.0), p_dl=st.floats(0.0, 1.0),
+    comparison_mode=st.booleans())
+
+
+class TestScenarioCells:
+    @settings(max_examples=200)
+    @given(_cell_scenarios)
+    def test_cells_are_the_flattened_dict_form(self, s):
+        # the cells are read through attribute paths found once; they must
+        # stay the scenario_to_dict values, in its order, of the same types
+        flat = {}
+        for key, value in scenario_to_dict(s).items():
+            if isinstance(value, dict):
+                flat.update((f"{key}_{name}", v) for name, v in value.items())
+            else:
+                flat[key] = value
+        cells = cli._scenario_cells(s)
+        assert list(cells.items()) == list(flat.items())
+        assert list(map(type, cells.values())) == list(map(type,
+                                                           flat.values()))
+        assert tuple(cells) == cli._SCENARIO_COLUMNS
 
 
 class TestRowShape:
