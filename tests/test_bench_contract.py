@@ -1,8 +1,12 @@
 """The benchmark's contract in tier 1: one round of each workload in
 bench/workloads.py, at seed 1 and the default horizon, runs and passes that
 workload's own checks (golden CSVs, simulated against analytic throughput,
-event accounting). The module is imported from its file, never changed."""
+event accounting). The module is imported from its file, never changed.
+The committed perf trajectory, BENCH_<workload>.json at the repository
+root, is checked for the fields every entry must carry."""
 import importlib.util
+import json
+import re
 import sys
 from pathlib import Path
 
@@ -33,3 +37,34 @@ def test_one_round_passes_its_checks(workloads, name):
         # a failing check raises CheckFailure, naming the request
         outcome = workload.check(request, workload.execute(request))
         assert outcome.points >= 1
+
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+SHA = re.compile(r"[0-9a-f]{40}")
+
+
+@pytest.mark.parametrize("workload",
+                         [w["name"] for w in BENCHMARK["workloads"]])
+def test_trajectory_file_is_complete(workload):
+    # every perf claim cites BENCH_<workload>.json: each entry names the
+    # two commits it compares and every end-to-end metric, with its unit,
+    # on both sides, and the file lists the harness's known defects
+    data = json.loads((ROOT / f"BENCH_{workload}.json").read_text(
+        encoding="utf-8"))
+    assert data["workload"] == workload
+    assert data["known_defects"]
+    assert all(d["metric"] and d["defect"] for d in data["known_defects"])
+    assert data["entries"]
+    for entry in data["entries"]:
+        shas = {"parent": entry["parent_sha"], "change": entry["change_sha"]}
+        assert all(SHA.fullmatch(sha) for sha in shas.values())
+        for side in shas:
+            summary = entry["trace0"]["summary"][side]
+            for metric in BENCHMARK["end_to_end"]:
+                assert summary[metric["name"]]["unit"] == metric["unit"]
+        for run in entry["trace0"]["runs"]:
+            assert run["git_sha"] == shas[run["side"]]
+            assert {name: m["unit"] for name, m
+                    in run["result"]["metrics"].items()} == {
+                m["name"]: m["unit"] for m in BENCHMARK["end_to_end"]}
