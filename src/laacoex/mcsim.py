@@ -12,34 +12,36 @@ station, stage), one int with the stage lowest, is the only record of those
 indices and stages, so each transmitter costs O(log n) rather than a scan of
 all n stations, and stations that share an event leave it by station number,
 which is the draw order below. The stations of a network share one table per
-stage of its next window and of the step that moves a key to the next event and
-stage, so a transmitter's key is advanced in place, by that step plus its new
-counter, and the batch edge is compared as a key: the loop splits a key only to
-close a batch. The next transmitter's key is held out of the heap, whose root,
-kept defined by one sentinel at the horizon, is then the runner-up key; each
-reschedule is one heappushpop, which returns the new least key. A lone
-transmitter always succeeds and draws no detection coin, so it takes a short
-path; a collision walks the held key, one heappushpop per transmitter, Wi-Fi's
-and then LAA's. A network whose p_d is below 1 reads whether its first
+stage of its next window and of its key increments, one per counter the window
+can draw: the step that moves a key to the next event and stage plus that
+counter in key units. So a transmitter's key is advanced in place by one lookup
+and one add, and the batch edge is compared as a key: the loop splits a key
+only to close a batch. The next transmitter's key is held out of the heap,
+whose root, kept defined by one sentinel at the horizon, is then the runner-up
+key; each reschedule is one heappushpop, which returns the new least key. A
+lone transmitter always succeeds and draws no detection coin, so it takes a
+short path; a collision walks the held key, one heappushpop per transmitter,
+Wi-Fi's and then LAA's. A network whose p_d is below 1 reads whether its first
 transmitter is its only one off the runner-up key; at p_d = 1 nothing hangs on
-that, so it is not tested. The loop only counts: a batch closes with its event
-count and its per-class and per-network counts, idle being its events minus its
-busy ones and chain collisions a network's attempts in collision events minus
-its undetected lone stations. Time and payload bits are formed from the counts
-when the run ends, each batch's time as the exact sum of count times duration
-over the six classes, rounded once. The warmup is batch 0, counted like the
-others and dropped at the end. One seeded PCG64 stream feeds every draw in a
-fixed order, so a configuration is bit-reproducible: initial counters Wi-Fi then
-LAA; per event the Wi-Fi transmitters by index, then the LAA ones, each drawing
-its detection coin (when one is needed) before its new counter. A draw is only
+that, so it is not tested. The loop only counts, in batches that end at edges
+its caller passes: a batch closes with its event count and its per-class and
+per-network counts, idle being its events minus its busy ones and chain
+collisions a network's attempts in collision events minus its undetected lone
+stations. Time and payload bits are formed from the counts when the run ends,
+each batch's time as the exact sum of count times duration over the six
+classes, rounded once. The warmup is batch 0, counted like the others and
+dropped at the end. One seeded PCG64 stream feeds every draw in a fixed order,
+so a configuration is bit-reproducible: initial counters Wi-Fi then LAA; per
+event the Wi-Fi transmitters by index, then the LAA ones, each drawing its
+detection coin (when one is needed) before its new counter. A draw is only
 masked, or compared with a coin's bound, the integer ceil(p_d * 2**64), so
-``simulate`` reads it packed into a small int in key units: its bits under the
-widest mask, shifted past the station and stage fields, and above them how many
-bounds it reaches, one comparison per bound, 4,096 at a time, each pulled with
-the builtin ``next()``. Where the three do not fit in 64 bits the draw stays
-raw, shifted as a Python int, and so do the bounds. ``simulate`` writes nothing:
-``write_trace`` dumps a run from ``_replay``, a plain per-event loop on its own
-raw copy of the stream, whose coin compares with the float p_d * 2**64.
+``_count`` reads it packed into a small int, in slots: its bits under the
+widest mask and, above them, how many bounds it reaches, one comparison per
+bound, 4,096 at a time, each pulled with the builtin ``next()``. Where the mask
+and rank bits do not fit in 64 the draw stays raw, and so do the bounds.
+``simulate`` writes nothing: ``write_trace`` dumps a run from ``_replay``, a
+plain per-event loop on its own raw copy of the stream, whose coin compares
+with the float p_d * 2**64.
 """
 from __future__ import annotations
 
@@ -64,31 +66,40 @@ MAX_STATIONS = 1024     # larger runs are refused before any list is built
 # draw is one output, so the stream does not depend on it; 30k events at 2-6
 # stations take 6k-53k draws.
 _POOL_CHUNK = 1 << 12
+# Key increments tabulated per window: a wider window's are the range itself,
+# which indexes exactly at any width but forms an int per lookup.
+_INC_CAP = 1 << 12
 
 
-def _pack(raw, bits, bounds, shift=0):
-    """Each uint64 of ``raw`` with its low ``bits`` bits kept, shifted up by
-    ``shift`` and, above them, its rank: how many ``bounds`` it reaches,
-    one uint64 comparison each (numpy 1.x would compare with a Python int
-    >= 2**63 in float64), as a list of Python ints. All 64 bits leave no
-    room for a rank, take no bounds, and are shifted as Python ints."""
+def _pack(raw, bits, bounds):
+    """Each uint64 of ``raw`` with its low ``bits`` bits kept and, above
+    them, its rank: how many ``bounds`` it reaches, one uint64 comparison
+    each (numpy 1.x would compare with a Python int >= 2**63 in float64),
+    as a list of Python ints. All 64 bits leave no room for a rank, take no
+    bounds, and return the outputs as they are."""
     if bits == 64:
-        raw = raw.tolist()
-        return [x << shift for x in raw] if shift else raw
-    packed = (raw & np.uint64((1 << bits) - 1)) << np.uint64(shift)
+        return raw.tolist()
+    packed = raw & np.uint64((1 << bits) - 1)
     for bound in bounds:
-        packed += np.left_shift(raw >= np.uint64(bound),
-                                np.uint64(bits + shift), dtype=np.uint64)
+        packed += np.left_shift(raw >= np.uint64(bound), np.uint64(bits),
+                                dtype=np.uint64)
     return packed.tolist()
 
 
-def _draws(seed: int, bits: int = 64, bounds=(), shift: int = 0):
+def _draws(seed: int, bits: int = 64, bounds=()):
     """Endless iterator over PCG64's uint64 outputs, packed by ``_pack``
     ``_POOL_CHUNK`` at a time into Python ints for ``next()``. The
-    defaults, all 64 bits, no bounds and no shift, give the raw outputs."""
+    defaults, all 64 bits and no bounds, give the raw outputs."""
     gen = np.random.PCG64(seed)
     return chain.from_iterable(iter(lambda: _pack(
-        gen.random_raw(_POOL_CHUNK), bits, bounds, shift), None))
+        gen.random_raw(_POOL_CHUNK), bits, bounds), None))
+
+
+def _incs(step, width, one):
+    """The key increments of a window of ``width`` slots: entry b is
+    ``step + b * one``, a list up to ``_INC_CAP`` slots, else the range."""
+    incs = range(step, step + width * one, one)
+    return list(incs) if width <= _INC_CAP else incs
 
 
 @dataclass(frozen=True)
@@ -138,35 +149,48 @@ def simulate(cfg: SimConfig) -> SimReport:
     class, duration and payload (none for a cross event) do not change. A
     detection probability of 0 or 1 draws no coin.
     """
-    s = cfg.scenario
+    horizon, warmup = cfg.horizon_events, cfg.warmup_events
+    n_batches = min(_BATCHES, horizon - warmup)
+    size = (horizon - warmup) // n_batches
+    edges = [warmup + k * size for k in range(n_batches)] + [horizon]
+    return _report(cfg.scenario, _count(cfg.scenario, cfg.seed, horizon,
+                                        edges)[1:])
+
+
+def _count(s: Scenario, seed: int, horizon: int, edges) -> list:
+    """Count ``s``'s run from ``seed`` in batches, the k-th ending before
+    event ``edges[k]`` (<= ``horizon``); return them when ``edges`` ends."""
     n_w, n_l, chains = s.n_wifi, s.n_laa, s.chains()
 
     # Heap of fire << shift | station << sb | stage, fire being the absolute
     # index of the station's next transmission: the least key is the next
     # transmitter, and at a tie the lower station, so stations that share an
-    # event come off in draw order. Windows, masks, draws and coin bounds
-    # are all in key units, shifted past the station and stage fields.
+    # event come off in draw order.
     sb = max(m + extra for _, m, extra in chains).bit_length()
     shift = sb + (n_w + n_l).bit_length()
     one, low, smask = 1 << shift, (1 << shift) - 1, (1 << sb) - 1
     keep, laa_low = ~smask, n_w << sb   # no stage; the first LAA station
     # Per network, indexed by stage j: the window and the mask-and-reject
     # bit mask (no modulo bias) of the stage a collision at j moves to (the
-    # next one, or 0 after the last stay at the top window), and the step
-    # that adds one event and that stage to the key. The top's entry leads
-    # to stage 0, so it holds the stage-0 window; an undetected lone
-    # station resets to it as after a success.
-    tab_w, tab_l, reset_w, reset_l = [], [], [], []
-    for tab, reset, (w0, m, extra) in zip((tab_w, tab_l), (reset_w, reset_l),
-                                          chains):
+    # next one, or 0 after the last stay at the top window), and the key
+    # increments (_incs) of its counters, led by the step that adds one
+    # event and that stage. The top's entry leads to stage 0, so it holds
+    # the stage-0 window. Every stage that advances steps by one + 1, so
+    # those share the increments of the top window.
+    tab_w, tab_l = [], []
+    for tab, (w0, m, extra) in zip((tab_w, tab_l), chains):
         top = m + extra
+        advance = _incs(one + 1, 2 ** m * w0, one)
         for j in range(top + 1):
             after = 0 if j == top else j + 1
             width = 2 ** min(after, m) * w0
-            mask = (1 << (width - 1).bit_length()) - 1 << shift
-            tab.append((width << shift, mask, one + after - j))
-        reset += [(*tab[-1][:2], one - j) for j in range(top + 1)]
+            mask = (1 << (width - 1).bit_length()) - 1
+            tab.append((width, mask, advance if after else _incs(
+                one - j, width, one)))
+    # A lone station, and an undetected one as after a success, draws from
+    # the stage-0 window and steps one event from its key without its stage.
     (width_w, mask_w, _), (width_l, mask_l, _) = tab_w[-1], tab_l[-1]
+    lone_w, lone_l = (_incs(one, w0, one) for w0, _, _ in chains)
     # A network's lone station in a cross collision goes undetected (its
     # chain records a success) for certain at p_d = 0, never at 1, else when
     # its draw is >= ceil(p_d * 2**64): an int compares with a float exactly,
@@ -177,34 +201,29 @@ def simulate(cfg: SimConfig) -> SimReport:
                       for p in (s.p_dw, s.p_dl))
     blind_w, blind_l = s.p_dw < 1.0, s.p_dl < 1.0
     # The loop reads packed draws (_pack): the coin at the k-th bound is
-    # k << bits + shift. Where they do not fit in 64 bits, all stay raw.
-    bits = (max(mask for _, mask, _ in tab_w + tab_l) >> shift).bit_length()
+    # k << bits. Where mask and rank bits do not fit in 64, all stay raw.
+    bits = max(mask for _, mask, _ in tab_w + tab_l).bit_length()
     bounds = sorted({coin_w, coin_l} - {0})
-    if bits + shift + len(bounds).bit_length() > 64:
+    if bits + len(bounds).bit_length() > 64:
         bits, bounds = 64, []
-    coin_w, coin_l = ((bounds.index(c) + 1 << bits if c in bounds else c)
-                      << shift for c in (coin_w, coin_l))
+    coin_w, coin_l = (bounds.index(c) + 1 << bits if c in bounds else c
+                      for c in (coin_w, coin_l))
 
-    horizon, warmup = cfg.horizon_events, cfg.warmup_events
     # ``key`` holds the next transmitter, out of the heap, so heap[0] is the
     # runner-up, for the lone and blind tests; one heappushpop reschedules
     # a key and hands back the least (the new key, heap untouched, while it
     # leads). One sentinel at the horizon keeps heap[0] defined.
-    draws = _draws(cfg.seed, bits, bounds, shift)
+    draws = _draws(seed, bits, bounds)
     heap = [horizon << shift | low]
     for i in range(n_w + n_l):
         width, mask = (width_w, mask_w) if i < n_w else (width_l, mask_l)
         while (backoff := next(draws) & mask) >= width:
             pass
-        heap.append(backoff | i << sb)
+        heap.append(backoff << shift | i << sb)
     heapify(heap)
     key = heappop(heap)
-    n_batches = min(_BATCHES, horizon - warmup)
-    batch_size = (horizon - warmup) // n_batches
-    # Batch k ends before event ends[k], whose least key is end_key: batch 0
-    # is the warmup, the last ends at the horizon, the next is never reached.
-    next_end = iter([warmup + k * batch_size for k in range(n_batches)]
-                    + [horizon, horizon + 1]).__next__
+    # Batch k ends before event edges[k], whose least key is end_key.
+    next_end = iter(edges).__next__
     b_start, b_end = 0, next_end()
     end_key = b_end << shift
     batches = []
@@ -222,9 +241,10 @@ def simulate(cfg: SimConfig) -> SimReport:
                                 n_sw, n_sl, n_cw, n_cl, n_cc))
                 n_sw = n_sl = att_w = att_l = und_w = und_l = 0
                 n_cw = n_cl = n_cc = 0
-                b_start, b_end = b_end, next_end()
-            if t >= horizon:
-                break
+                try:
+                    b_start, b_end = b_end, next_end()
+                except StopIteration:
+                    return batches
             end_key = b_end << shift
 
         last = key | low        # the largest key that fires with this one
@@ -233,11 +253,12 @@ def simulate(cfg: SimConfig) -> SimReport:
                 n_sw += 1
                 while (backoff := next(draws) & mask_w) >= width_w:
                     pass
+                key = heappushpop(heap, (key & keep) + lone_w[backoff])
             else:
                 n_sl += 1
                 while (backoff := next(draws) & mask_l) >= width_l:
                     pass
-            key = heappushpop(heap, (key & keep) + backoff + one)
+                key = heappushpop(heap, (key & keep) + lone_l[backoff])
             continue
         # A collision walks the held key: each transmitter's new key lies
         # past last, so the next key is the next station that fires with
@@ -247,16 +268,18 @@ def simulate(cfg: SimConfig) -> SimReport:
         # runner-up key, heap[0], is not its network's.
         split = last ^ low | laa_low    # the least LAA key of the event
         if key < split:
-            tab = tab_w
             if blind_w and heap[0] >= split and (
                     miss_w or coin_w and next(draws) >= coin_w):
-                tab = reset_w
                 und_w += 1
+                while (backoff := next(draws) & mask_w) >= width_w:
+                    pass
+                key = heappushpop(heap, (key & keep) + lone_w[backoff])
+                att_w += 1
             while key < split:
-                width, mask, step = tab[key & smask]
+                width, mask, incs = tab_w[key & smask]
                 while (backoff := next(draws) & mask) >= width:
                     pass
-                key = heappushpop(heap, key + step + backoff)
+                key = heappushpop(heap, key + incs[backoff])
                 att_w += 1
             if key > last:
                 n_cw += 1
@@ -264,19 +287,19 @@ def simulate(cfg: SimConfig) -> SimReport:
             n_cc += 1
         else:                   # with no Wi-Fi, LAA has two or more
             n_cl += 1
-        tab = tab_l
         if blind_l and heap[0] > last and (
                 miss_l or coin_l and next(draws) >= coin_l):
-            tab = reset_l
             und_l += 1
+            while (backoff := next(draws) & mask_l) >= width_l:
+                pass
+            key = heappushpop(heap, (key & keep) + lone_l[backoff])
+            att_l += 1
         while key <= last:
-            width, mask, step = tab[key & smask]
+            width, mask, incs = tab_l[key & smask]
             while (backoff := next(draws) & mask) >= width:
                 pass
-            key = heappushpop(heap, key + step + backoff)
+            key = heappushpop(heap, key + incs[backoff])
             att_l += 1
-
-    return _report(s, batches[1:])
 
 
 def _exact_dot(weights):

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 from laacoex import EVENT_CLASSES, mcsim
 from laacoex.core import (LaaParams, Scenario, ThroughputReport, WifiParams,
                           derived_durations)
-from laacoex.mcsim import (_POOL_CHUNK, MAX_STATIONS, SimConfig, _draws,
-                           _exact_dot, _pack, _replay, simulate, write_trace)
+from laacoex.mcsim import (_INC_CAP, _POOL_CHUNK, MAX_STATIONS, SimConfig,
+                           _draws, _exact_dot, _incs, _pack, _replay, simulate,
+                           write_trace)
 from laacoex.solver import solve_coexistence
 from laacoex.throughput import (coexistence_throughput, event_durations,
                                 event_probabilities, event_weights)
@@ -77,13 +78,19 @@ class TestReferenceStream:
     at 1 and 2**64 - 2**11) from that loop, before ``simulate`` read its
     draws packed into small ints, and the last two (a packed draw of
     exactly 64 bits with the key's stage and station fields under it, and
-    one of 65 that stays raw) from the packed loop, before its keys carried
-    each station's stage: event counts in EVENT_CLASSES order,
+    one of 65 that stayed raw) from the packed loop, before its keys carried
+    each station's stage, and the last one (a top window just above
+    ``_INC_CAP``, whose increments are a range, with a coin) from the loop
+    whose keys carried the stage, before the key units left the draws for
+    the tables' increments: event counts in EVENT_CLASSES order,
     then ``float.hex`` of the six measured quantities and of the six
     standard errors (keys sorted). Any change to
     the draw order, mask-and-reject, the detection coin, the warmup and
     batch split, or the way times are summed shows up here. Never re-seed
-    to make a case pass.
+    to make a case pass. Three cases read the raw 64-bit stream: in
+    "2^64-window" and "keys-beyond-64-bits" the mask takes all 64 bits, and
+    in "wide-window-coin-raw" 63 mask bits and 2 rank bits need 65; every
+    other case reads packed draws.
 
     Four hexes per case (``tput_wifi_mbps``, ``tput_laa_mbps`` and their
     standard errors, positions 0, 1, 10 and 11) were re-captured when the
@@ -214,10 +221,11 @@ class TestReferenceStream:
             scenario=Scenario(n_wifi=3, n_laa=3, p_dw=5e-324,
                               p_dl=math.nextafter(1.0, 0.0)),
             horizon_events=30_000, seed=33, warmup_events=3_000)),
-        # one coin beside a top Wi-Fi window of 2**54 at stage 53: 54 mask
-        # bits, 1 rank bit and a key shift of 9 (6 stage bits, 3 station
-        # bits) fill a packed draw's 64; at 2**55 they need 65, and the
-        # draws stay raw
+        # one coin beside a top Wi-Fi window of 2**54 at stage 53, then of
+        # 2**55, under a key shift of 9 (6 stage bits, 3 station bits): while
+        # draws were shifted into key units, these filled a packed draw's 64
+        # bits and needed 65. A draw holds only its 55 or 56 mask and rank
+        # bits now, so both pack
         "key-shift-64-bits": (simulate, SimConfig(
             scenario=Scenario(n_wifi=2, n_laa=2, wifi=WifiParams(w0=4, m=52),
                               laa=LaaParams(w0=4, m=1), p_dw=0.3),
@@ -226,6 +234,15 @@ class TestReferenceStream:
             scenario=Scenario(n_wifi=2, n_laa=2, wifi=WifiParams(w0=4, m=53),
                               laa=LaaParams(w0=4, m=1), p_dw=0.3),
             horizon_events=30_000, seed=35, warmup_events=3_000)),
+        # a top Wi-Fi window of 6,144 slots, above _INC_CAP, so every stage
+        # that advances reads its increments from a range: LAA's one-slot
+        # window puts each Wi-Fi attempt in a cross collision, whose coin
+        # mostly advances it, so the top window is reached and draws
+        # counters past the cap
+        "window-above-cap": (simulate, SimConfig(
+            scenario=Scenario(n_wifi=4, n_laa=1, wifi=WifiParams(w0=3, m=11),
+                              laa=LaaParams(w0=1, m=0), p_dw=0.9),
+            horizon_events=60_000, seed=36, warmup_events=3_000)),
     }
 
     EXPECTED = {
@@ -359,6 +376,11 @@ class TestReferenceStream:
             "0x1.298c4004dac1cp-2", "0x1.1c444762f7c03p-2", "0x1.240a3ef18fa78p-1",
             "0x1.54664fdbe9482p-8", "0x1.1768a817ebcf5p-7", "0x1.5d526d58c867ap-10",
             "0x1.0c6de55cd4d91p-8", "0x1.471ff2a0f0865p-5", "0x1.8071291bf3355p-7")),
+        "window-above-cap": ((0, 0, 56437, 0, 0, 563), (
+            "0x0.0p+0", "0x1.aff769603aac1p+2", "0x1.443b1191d6d31p-9",
+            "0x1.0000000000000p+0", "0x1.c9882b9310572p-1", "0x1.43a7e66affbfap-7",
+            "0x1.4fe80ae006f3ap-10", "0x1.44496e8d6a9eep-5", "0x0.0p+0",
+            "0x1.514b525dd1882p-12", "0x1.1e39e443d774ap-7", "0x0.0p+0")),
     }
 
     @pytest.mark.parametrize("name", sorted(RUNS))
@@ -678,8 +700,8 @@ class TestCoinThreshold:
 class TestPackedDraws:
     """``simulate`` reads each PCG64 output packed by ``_pack``: its bits
     under the widest mask and, above them, its rank among the coin bounds,
-    all shifted into heap-key units. Every mask and every coin must read
-    the packed draw as it reads the raw one."""
+    in slots. Every mask and every coin must read the packed draw as it
+    reads the raw one."""
 
     @settings(max_examples=300, deadline=None)
     @given(raw=st.lists(st.integers(0, 2 ** 64 - 1), max_size=8),
@@ -704,31 +726,26 @@ class TestPackedDraws:
            data=st.data())
     def test_packing_equals_the_searchsorted_formula(self, raw, bounds, data):
         bounds.sort()
-        # every width with room for the rank above it (all 64 bits: below),
-        # and every shift with room for both
+        # every width with room for the rank above it (all 64 bits: below)
         rank_bits = len(bounds).bit_length()
         bits = data.draw(st.integers(0, 64 - max(rank_bits, 1)),
                          label="bits")
-        shift = data.draw(st.integers(0, 64 - bits - rank_bits),
-                          label="shift")
         raw += [x for b in bounds for x in (b - 1, b, b + 1)]
         raw = np.array(raw + [0, 2 ** 64 - 1], np.uint64)
-        packed = _pack(raw, bits, bounds, shift)
+        packed = _pack(raw, bits, bounds)
         # the formula _pack replaced, run on the same (unchanged) outputs
         rank = np.searchsorted(np.array(bounds, np.uint64), raw, "right")
         formula = raw & (1 << bits) - 1 | rank.astype(np.uint64) << bits
-        assert packed == [x << shift for x in formula.tolist()]
+        assert packed == formula.tolist()
 
     def test_all_64_bits_return_the_raw_outputs(self):
         raw = np.array([0, 1, 2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1], np.uint64)
-        for shift in (0, 1, 9, 20):     # shifted as Python ints
-            assert _pack(raw, 64, [], shift) == [
-                x << shift for x in raw.tolist()]
+        assert _pack(raw, 64, []) == raw.tolist()
 
     @pytest.mark.parametrize("name, horizon", [
         ("blind-wifi", 30_000),     # one coin bound
         ("coin-extremes", 3_000),   # two, at a horizon chunk 1 runs quickly
-        # one, under a key shift of 9: 3 stage bits and 6 station bits
+        # one, beside keys with 3 stage bits and 6 station bits
         ("class4-20+20-detection", 3_000),
     ])
     def test_report_does_not_depend_on_the_chunk_size(self, monkeypatch, name,
@@ -751,11 +768,27 @@ class TestPackedDraws:
         rank = [sum(x >= b for b in bounds) for x in expected]
         assert list(islice(_draws(7, 10, bounds), n)) == [
             x & 1023 | k << 10 for x, k in zip(expected, rank)]
-        # in key units, packed and raw
-        assert list(islice(_draws(7, 10, bounds, 9), n)) == [
-            (x & 1023 | k << 10) << 9 for x, k in zip(expected, rank)]
-        assert list(islice(_draws(7, 64, [], 9), n)) == [
-            x << 9 for x in expected]
+
+
+class TestKeyIncrements:
+    """A transmitter's key moves by ``incs[b]``, the step to its next event
+    and stage plus its new counter b in key units: ``step + b * one``, a
+    list up to ``_INC_CAP`` slots and the range above, which indexes
+    exactly at any width up to 2**64 without building it."""
+
+    @pytest.mark.parametrize("width", [_INC_CAP, _INC_CAP + 1, 2 ** 64])
+    @settings(max_examples=50, deadline=None)
+    @given(shift=st.integers(1, 20), data=st.data())
+    def test_entry_b_is_the_step_plus_b_key_units(self, width, shift, data):
+        one = 1 << shift
+        # the steps simulate uses: one + 1 to advance, one - j to reset
+        step = one + data.draw(st.integers(1 - one, 1), label="step - one")
+        incs = _incs(step, width, one)
+        assert type(incs) is (list if width <= _INC_CAP else range)
+        for b in (0, width - 1, data.draw(st.integers(0, width - 1))):
+            assert incs[b] == step + b * one
+        with pytest.raises(IndexError):
+            incs[width]
 
 
 class TestExactTwoNodeChain:
