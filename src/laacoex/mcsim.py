@@ -17,7 +17,7 @@ can draw: the step that moves a key to the next event and stage plus that
 counter in key units. So a transmitter's key is advanced in place by one lookup
 and one add, and the batch edge is compared as a key: the loop splits a key
 only to close a batch. The next transmitter's key is held out of the heap,
-whose root, kept defined by one sentinel at the horizon, is then the runner-up
+whose root, kept defined by a sentinel at the last edge, is then the runner-up
 key; each reschedule is one heappushpop, which returns the new least key. A
 lone transmitter always succeeds and draws no detection coin, so it takes a
 short path; a collision walks the held key, one heappushpop per transmitter,
@@ -66,9 +66,11 @@ MAX_STATIONS = 1024     # larger runs are refused before any list is built
 # draw is one output, so the stream does not depend on it; 30k events at 2-6
 # stations take 6k-53k draws.
 _POOL_CHUNK = 1 << 12
-# Key increments tabulated per window: a wider window's are the range itself,
-# which indexes exactly at any width but forms an int per lookup.
-_INC_CAP = 1 << 12
+# Key increments tabulated per window up to CWmax + 1 of 802.11 and of LAA's
+# class 4: a wider window's are the range itself, which indexes exactly at any
+# width but forms an int per lookup. At 2+2 stations a list beats the range
+# up to about 700 slots over 30k events and about 6,000 over 2M.
+_INC_CAP = 1 << 10
 
 
 def _pack(raw, bits, bounds):
@@ -153,13 +155,12 @@ def simulate(cfg: SimConfig) -> SimReport:
     n_batches = min(_BATCHES, horizon - warmup)
     size = (horizon - warmup) // n_batches
     edges = [warmup + k * size for k in range(n_batches)] + [horizon]
-    return _report(cfg.scenario, _count(cfg.scenario, cfg.seed, horizon,
-                                        edges)[1:])
+    return _report(cfg.scenario, _count(cfg.scenario, cfg.seed, edges)[1:])
 
 
-def _count(s: Scenario, seed: int, horizon: int, edges) -> list:
+def _count(s: Scenario, seed: int, edges) -> list:
     """Count ``s``'s run from ``seed`` in batches, the k-th ending before
-    event ``edges[k]`` (<= ``horizon``); return them when ``edges`` ends."""
+    event ``edges[k]``, the edges ascending; return them when they end."""
     n_w, n_l, chains = s.n_wifi, s.n_laa, s.chains()
 
     # Heap of fire << shift | station << sb | stage, fire being the absolute
@@ -176,21 +177,22 @@ def _count(s: Scenario, seed: int, horizon: int, edges) -> list:
     # increments (_incs) of its counters, led by the step that adds one
     # event and that stage. The top's entry leads to stage 0, so it holds
     # the stage-0 window. Every stage that advances steps by one + 1, so
-    # those share the increments of the top window.
+    # those share the increments of the top window. A lone station, and an
+    # undetected one as after a success, draws from the stage-0 window and
+    # steps one event from its key without its stage: by the lone list,
+    # which is also the top's entry when stage 0 is the top.
     tab_w, tab_l = [], []
-    for tab, (w0, m, extra) in zip((tab_w, tab_l), chains):
+    lone_w, lone_l = lones = [_incs(one, w0, one) for w0, _, _ in chains]
+    for tab, lone, (w0, m, extra) in zip((tab_w, tab_l), lones, chains):
         top = m + extra
-        advance = _incs(one + 1, 2 ** m * w0, one)
+        advance = _incs(one + 1, 2 ** m * w0, one) if top else None
         for j in range(top + 1):
             after = 0 if j == top else j + 1
             width = 2 ** min(after, m) * w0
             mask = (1 << (width - 1).bit_length()) - 1
             tab.append((width, mask, advance if after else _incs(
-                one - j, width, one)))
-    # A lone station, and an undetected one as after a success, draws from
-    # the stage-0 window and steps one event from its key without its stage.
+                one - j, width, one) if j else lone))
     (width_w, mask_w, _), (width_l, mask_l, _) = tab_w[-1], tab_l[-1]
-    lone_w, lone_l = (_incs(one, w0, one) for w0, _, _ in chains)
     # A network's lone station in a cross collision goes undetected (its
     # chain records a success) for certain at p_d = 0, never at 1, else when
     # its draw is >= ceil(p_d * 2**64): an int compares with a float exactly,
@@ -212,9 +214,9 @@ def _count(s: Scenario, seed: int, horizon: int, edges) -> list:
     # ``key`` holds the next transmitter, out of the heap, so heap[0] is the
     # runner-up, for the lone and blind tests; one heappushpop reschedules
     # a key and hands back the least (the new key, heap untouched, while it
-    # leads). One sentinel at the horizon keeps heap[0] defined.
+    # leads). One sentinel at the last edge keeps heap[0] defined.
     draws = _draws(seed, bits, bounds)
-    heap = [horizon << shift | low]
+    heap = [edges[-1] << shift | low]
     for i in range(n_w + n_l):
         width, mask = (width_w, mask_w) if i < n_w else (width_l, mask_l)
         while (backoff := next(draws) & mask) >= width:
@@ -233,7 +235,7 @@ def _count(s: Scenario, seed: int, horizon: int, edges) -> list:
     n_sw = n_sl = att_w = att_l = und_w = und_l = n_cw = n_cl = n_cc = 0
 
     while True:
-        if key >= end_key:      # end_key <= horizon << shift until the end
+        if key >= end_key:      # end_key <= the sentinel until the end
             t = key >> shift
             while b_end <= t:   # close every batch that ends by this event
                 batches.append((b_end - b_start, n_sw + att_w, n_sl + att_l,

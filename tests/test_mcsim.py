@@ -79,7 +79,7 @@ class TestReferenceStream:
     draws packed into small ints, and the last two (a packed draw of
     exactly 64 bits with the key's stage and station fields under it, and
     one of 65 that stayed raw) from the packed loop, before its keys carried
-    each station's stage, and the last one (a top window just above
+    each station's stage, and the last one (a top window above
     ``_INC_CAP``, whose increments are a range, with a coin) from the loop
     whose keys carried the stage, before the key units left the draws for
     the tables' increments: event counts in EVENT_CLASSES order,
