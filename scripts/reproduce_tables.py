@@ -37,7 +37,7 @@ def main():
                 rep = coexistence_throughput(s, solve_coexistence(s))
                 print(f"      {label}: wifi {rep.tput_wifi_mbps:5.2f}  "
                       f"laa {rep.tput_laa_mbps:6.2f}  "
-                      f"total {rep.tput_wifi_mbps + rep.tput_laa_mbps:6.2f}")
+                      f"total {rep.tput_total_mbps:6.2f}")
     print("=== energy detector (SNR 22 dB, noise -94 dBm, M=680) ===")
     for threshold in (-62.0, -72.0, -82.0):
         p_d = detection_probability(

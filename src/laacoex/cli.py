@@ -13,7 +13,7 @@ import os
 import re
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 from functools import cache
 from importlib import resources
 from itertools import repeat
@@ -23,7 +23,7 @@ import yaml
 
 from . import __version__
 from ._fields import check_keys, check_value
-from .core import (Scenario, ThroughputReport, check_run_length,
+from .core import (ED_BLOCKS, Scenario, ThroughputReport, check_run_length,
                    scenario_from_dict, scenario_to_dict)
 from .solver import ConvergenceError, SolverConfig, solve_coexistence
 from .throughput import (EVENT_CLASSES, coexistence_throughput,
@@ -31,19 +31,14 @@ from .throughput import (EVENT_CLASSES, coexistence_throughput,
 
 OUT_DIR_ENV = "LAACOEX_OUT_DIR"
 
-SWEEP_AXES = ("total_nodes", "node_split", "retry_limit",
-              "detection_wifi", "detection_laa")
+# each detection axis and the probability it sweeps
+_DETECTION_AXES = {"detection_wifi": "p_dw", "detection_laa": "p_dl"}
+SWEEP_AXES = ("total_nodes", "node_split", "retry_limit", *_DETECTION_AXES)
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One sweep: the axis to vary and, per value, the scenario it makes."""
-
-    axis: str
-    points: tuple   # (axis value, Scenario) pairs, in range order
-
-
-def sweep_spec_from_dict(data: dict) -> SweepSpec:
+def sweep_spec_from_dict(data: dict) -> tuple[str, tuple]:
+    """A sweep spec's axis and, per range value in order, the pair
+    (value, Scenario) it makes."""
     keys = ("axis", "range", "base")
     check_keys(data, "sweep spec", keys, required=keys)
     if not isinstance(data["range"], list):
@@ -53,17 +48,20 @@ def sweep_spec_from_dict(data: dict) -> SweepSpec:
     if axis not in SWEEP_AXES:
         raise ValueError(
             f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
+    field = _DETECTION_AXES.get(axis)
+    if field and ED_BLOCKS[field] in data["base"]:
+        raise ValueError(f"axis {axis} sweeps {field}, which the base's "
+                         f"{ED_BLOCKS[field]} block sets; give one, not both")
     if not data["range"]:
         raise ValueError("sweep range must be non-empty")
-    return SweepSpec(axis, tuple((value, _scenario_for_point(axis, value, base))
-                                 for value in data["range"]))
+    return axis, tuple((value, _scenario_for_point(axis, value, base))
+                       for value in data["range"])
 
 
 def _scenario_for_point(axis: str, value, base: Scenario) -> Scenario:
     """The scenario at one axis value; the type that owns each parameter
     checks it, and any error names the axis and the value."""
-    check_value(axis, "float" if axis.startswith("detection_") else "int",
-                value)
+    check_value(axis, "float" if axis in _DETECTION_AXES else "int", value)
     try:
         if axis == "total_nodes":
             if value % 2:
@@ -76,9 +74,7 @@ def _scenario_for_point(axis: str, value, base: Scenario) -> Scenario:
             if base.comparison_mode:
                 raise ValueError("comparison mode fixes the retry limit at 0")
             return replace(base, laa=replace(base.laa, retry_limit=value))
-        if axis == "detection_wifi":
-            return replace(base, p_dw=float(value))
-        return replace(base, p_dl=float(value))
+        return replace(base, **{_DETECTION_AXES[axis]: float(value)})
     except ValueError as err:
         raise ValueError(f"{axis} value {value!r}: {err}") from None
 
@@ -125,12 +121,11 @@ _SWEEP_COLUMNS = ("axis", "axis_value", "status") + _SCENARIO_COLUMNS + (
 
 def _engine_row(engine: str, s: Scenario, probs, rep: ThroughputReport,
                 **extra) -> dict:
-    """Cells both engines fill: the scenario, tau and p from ``probs``,
-    every ThroughputReport field and the total throughput; then ``extra``."""
+    """Cells both engines fill: the scenario, tau and p from ``probs`` and
+    every ThroughputReport field; then ``extra``."""
     row = {"engine": engine, **_scenario_cells(s), "tau_w": probs.tau_w,
            "tau_l": probs.tau_l, "p_w": probs.p_w, "p_l": probs.p_l}
     row.update(zip(_REPORT_FIELDS, _report_values(rep)))
-    row["tput_total_mbps"] = rep.tput_wifi_mbps + rep.tput_laa_mbps
     row.update(extra)
     return row
 
@@ -168,17 +163,16 @@ def run_scenario(s: Scenario, engine: str, cfg: SolverConfig, seed: int,
     return rows
 
 
-def run_sweep(spec: SweepSpec, cfg: SolverConfig) -> tuple[list[dict], bool]:
-    """Evaluate every sweep point; returns (rows, any_point_failed).
+def run_sweep(axis: str, points, cfg: SolverConfig) -> list[dict]:
+    """Evaluate every (axis value, Scenario) point, one row each.
 
-    Failed points keep their row with ``status`` set instead of aborting the
-    sweep, so partial results are always inspectable.
+    A failed point keeps its row, ``status`` saying why, instead of aborting
+    the sweep, so partial results are always inspectable.
     """
     rows = []
-    any_failed = False
     wifi_only = {}  # (n, WifiParams) -> report: one solve per baseline
-    for value, point in spec.points:
-        row = {"axis": spec.axis, "axis_value": value, "status": "ok"}
+    for value, point in points:
+        row = {"axis": axis, "axis_value": value, "status": "ok"}
         row.update(_scenario_cells(point))
         try:
             # the baseline: the point's whole population, all Wi-Fi
@@ -192,16 +186,15 @@ def run_sweep(spec: SweepSpec, cfg: SolverConfig) -> tuple[list[dict], bool]:
                 wifi_only_per_user_mbps=baseline.per_user_wifi_mbps,
                 coex_tput_wifi_mbps=coex.tput_wifi_mbps,
                 coex_tput_laa_mbps=coex.tput_laa_mbps,
-                coex_total_mbps=coex.tput_wifi_mbps + coex.tput_laa_mbps,
+                coex_total_mbps=coex.tput_total_mbps,
                 coex_per_user_wifi_mbps=coex.per_user_wifi_mbps,
                 coex_per_user_laa_mbps=coex.per_user_laa_mbps,
             )
         except ConvergenceError as err:
-            any_failed = True
             row["status"] = (f"no-convergence(residual={err.residual:.3e},"
                              f"iterations={err.iterations})")
         rows.append(row)
-    return rows, any_failed
+    return rows
 
 
 def _write_csv(out, header, rows) -> None:
@@ -277,7 +270,7 @@ def preset_names() -> list[str]:
 
 def _load_input(arg: str) -> dict:
     """Parse a scenario/sweep file path or bundled preset name into a dict."""
-    if os.path.exists(arg):
+    if os.path.isfile(arg):
         with open(arg, encoding="utf-8") as fh:
             text = fh.read()
     else:
@@ -334,12 +327,12 @@ def _cmd_sweep(args) -> int:
     if "axis" not in data:
         raise ValueError(
             f"{args.spec!r} looks like a scenario; use 'laacoex run'")
-    spec = sweep_spec_from_dict(data)
+    axis, points = sweep_spec_from_dict(data)
     cfg = SolverConfig(args.tolerance)
     with _open_output(args.out, "--out") as out:
-        rows, any_failed = run_sweep(spec, cfg)
+        rows = run_sweep(axis, points, cfg)
         _write_csv(out, _SWEEP_COLUMNS, rows)
-    if any_failed:
+    if any(row["status"] != "ok" for row in rows):
         print("error: one or more sweep points failed to converge "
               "(see status column)", file=sys.stderr)
         return 3

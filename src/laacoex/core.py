@@ -182,6 +182,7 @@ class ThroughputReport:
     t_e_us: float              # expected duration of one channel event
     tput_wifi_mbps: float
     tput_laa_mbps: float
+    tput_total_mbps: float     # Wi-Fi plus LAA
     per_user_wifi_mbps: float
     per_user_laa_mbps: float
 
@@ -191,6 +192,9 @@ class ThroughputReport:
 # ---------------------------------------------------------------------------
 
 _SCALAR_FIELDS = ("n_wifi", "n_laa", "p_dw", "p_dl", "comparison_mode")
+# each detection probability and the energy-detector block that may derive
+# it; a file gives one or the other
+ED_BLOCKS = {"p_dw": "ed_wifi", "p_dl": "ed_laa"}
 
 
 def scenario_to_dict(s: Scenario) -> dict:
@@ -238,22 +242,18 @@ def scenario_from_dict(data: dict) -> Scenario:
     sets, 0 and ``wifi.difs_us``; any other value is refused, not dropped.
     """
     check_keys(data, "scenario",
-               _SCALAR_FIELDS + ("wifi", "laa", "ed_wifi", "ed_laa"),
+               _SCALAR_FIELDS + ("wifi", "laa", *ED_BLOCKS.values()),
                required=("n_wifi", "n_laa"))
 
     kwargs = {k: data[k] for k in _SCALAR_FIELDS if k in data}
-    if "wifi" in data:
-        kwargs["wifi"] = _params_from_dict(WifiParams, data["wifi"], "wifi")
-    if "laa" in data:
-        kwargs["laa"] = _params_from_dict(LaaParams, data["laa"], "laa")
-    if "ed_wifi" in data:
-        _require("p_dw" not in data,
-                 "give either p_dw or ed_wifi, not both")
-        kwargs["p_dw"] = _detection_from_block(data["ed_wifi"], "ed_wifi")
-    if "ed_laa" in data:
-        _require("p_dl" not in data,
-                 "give either p_dl or ed_laa, not both")
-        kwargs["p_dl"] = _detection_from_block(data["ed_laa"], "ed_laa")
+    for key, cls in (("wifi", WifiParams), ("laa", LaaParams)):
+        if key in data:
+            kwargs[key] = _params_from_dict(cls, data[key], key)
+    for field, block in ED_BLOCKS.items():
+        if block in data:
+            _require(field not in data,
+                     f"give either {field} or {block}, not both")
+            kwargs[field] = _detection_from_block(data[block], block)
     s = Scenario(**kwargs)
     # only comparison mode moves a field; it must not move a given one
     for name, value in data.get("laa", {}).items():

@@ -77,10 +77,8 @@ def _pack(raw, bits, bounds):
     """Each uint64 of ``raw`` with its low ``bits`` bits kept and, above
     them, its rank: how many ``bounds`` it reaches, one uint64 comparison
     each (numpy 1.x would compare with a Python int >= 2**63 in float64),
-    as a list of Python ints. All 64 bits leave no room for a rank, take no
-    bounds, and return the outputs as they are."""
-    if bits == 64:
-        return raw.tolist()
+    as a list of Python ints. All 64 bits leave no room for a rank, so they
+    come with no bounds, and the mask keeps every output as it is."""
     packed = raw & np.uint64((1 << bits) - 1)
     for bound in bounds:
         packed += np.left_shift(raw >= np.uint64(bound), np.uint64(bits),

@@ -105,7 +105,8 @@ def _build_report(cls, s: Scenario, probs, durations, bits, time: float,
     _, t_sw, t_sl, t_cw, t_cl, t_cc = durations
     tput_w, tput_l = bits[0] / time, bits[1] / time
     return cls(*probs, t_sw, t_cw, t_sl, t_cl, t_cc, time / events,
-               tput_w, tput_l, tput_w / s.n_wifi if s.n_wifi else 0.0,
+               tput_w, tput_l, tput_w + tput_l,
+               tput_w / s.n_wifi if s.n_wifi else 0.0,
                tput_l / s.n_laa if s.n_laa else 0.0, **extra)
 
 

@@ -1,24 +1,27 @@
 """The benchmark's contract in tier 1: one round of each workload in
 bench/workloads.py, at seed 1 and the default horizon, runs and passes that
 workload's own checks (golden CSVs, simulated against analytic throughput,
-event accounting). The module is imported from its file, never changed.
-The committed perf trajectory, BENCH_<workload>.json at the repository
-root, is checked for the fields every entry must carry."""
+event accounting), and every function bench/tracing.py wraps exists, bar
+the known-dead ones. Both modules are imported from their files, never
+changed. The committed perf trajectory, BENCH_<workload>.json at the
+repository root, is checked for the fields every entry must carry."""
 import importlib.util
 import json
 import re
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
-WORKLOADS_PY = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.fixture(scope="module")
-def workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads",
-                                                  WORKLOADS_PY)
+@contextmanager
+def bench_module(name):
+    """bench/<name>.py, imported from its file as bench_<name>."""
+    spec = importlib.util.spec_from_file_location(
+        f"bench_{name}", ROOT / "bench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module   # dataclasses resolve through it
     try:
@@ -26,6 +29,12 @@ def workloads():
         yield module
     finally:
         del sys.modules[spec.name]
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    with bench_module("workloads") as module:
+        yield module
 
 
 @pytest.mark.parametrize("name", ["analytic-sweeps", "sim-xval", "sim-dense"])
@@ -39,7 +48,22 @@ def test_one_round_passes_its_checks(workloads, name):
         assert outcome.points >= 1
 
 
-ROOT = Path(__file__).resolve().parents[1]
+# wrap targets deleted from the package while the harness kept them
+DEAD_WRAP_TARGETS = {"laacoex.solver.wifi_tau", "laacoex.solver.laa_tau",
+                     "laacoex.cli.simulate_with_detection",
+                     "laacoex.mcsim.simulate_with_detection"}
+
+
+def test_every_live_wrap_target_resolves():
+    # tracing skips a target its module lacks, so a renamed layer function
+    # would only show as "warning: no data" in a traced run
+    with bench_module("tracing") as tracing:
+        missing = {f"{module}.{attr}"
+                   for module, attr, _ in tracing.LAYER_CALLS
+                   if not hasattr(importlib.import_module(module), attr)}
+    assert missing == DEAD_WRAP_TARGETS
+
+
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 SHA = re.compile(r"[0-9a-f]{40}")
 

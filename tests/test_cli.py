@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import laacoex
-from laacoex import cli, solver, throughput
+from laacoex import EdConfig, cli, detection_probability, solver, throughput
 from laacoex.core import (LaaParams, Scenario, Solution, ThroughputReport,
                           WifiParams, scenario_to_dict)
 
@@ -453,6 +453,39 @@ class TestSweepCommand:
         assert wifi[0] > wifi[1] > wifi[2]
         assert [r["p_dw"] for r in rows] == ["0.0", "0.546", "1.0"]
 
+    ED_BLOCK = ("{threshold_dbm: -72.0, snr_db: 22.0, noise_power_dbm: -94.0, "
+                "samples: 680}")
+
+    @pytest.mark.parametrize("axis, field, block", [
+        ("detection_wifi", "p_dw", "ed_wifi"),
+        ("detection_laa", "p_dl", "ed_laa")])
+    def test_detection_axis_refuses_its_networks_ed_block(self, tmp_path,
+                                                          capsys, axis,
+                                                          field, block):
+        # the axis would discard the probability the block derives
+        spec = tmp_path / "detection.yaml"
+        spec.write_text(f"axis: {axis}\nrange: [0.2, 0.4]\n"
+                        f"base: {{n_wifi: 2, n_laa: 2, {block}: "
+                        f"{self.ED_BLOCK}}}\n")
+        code, out, err = run_cli(capsys, "sweep", str(spec))
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: axis {axis} sweeps {field}, which the base's "
+                       f"{block} block sets; give one, not both\n")
+
+    def test_detection_axis_keeps_the_other_networks_ed_block(self, tmp_path,
+                                                              capsys):
+        spec = tmp_path / "detection.yaml"
+        spec.write_text("axis: detection_wifi\nrange: [0.2, 0.4]\n"
+                        f"base: {{n_wifi: 2, n_laa: 2, ed_laa: "
+                        f"{self.ED_BLOCK}}}\n")
+        code, out, err = run_cli(capsys, "sweep", str(spec))
+        assert code == 0, err
+        _, _, rows = parse_csv(out)
+        assert [r["p_dw"] for r in rows] == ["0.2", "0.4"]
+        assert {r["p_dl"] for r in rows} == {repr(detection_probability(
+            EdConfig.from_snr(-72.0, 22.0, -94.0, 680)))}
+
     def test_retry_limit_sweep_increases(self, capsys):
         _, out, _ = run_cli(capsys, "sweep", "fig12")
         _, _, rows = parse_csv(out)
@@ -611,6 +644,20 @@ class TestPresets:
             code, out, err = run_cli(capsys, command, name)
             assert code == 0, (name, err)
             assert out.splitlines()[0].startswith("# laacoex")
+
+    def test_a_directory_does_not_hide_a_preset(self, tmp_path, capsys,
+                                                monkeypatch):
+        # only a file is read as a file; a directory of the same name is not
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "table7").mkdir()
+        code, out, err = run_cli(capsys, "run", "table7")
+        assert code == 0, err
+        assert out.split("\n", 1)[1] == golden_body("table7")
+        (tmp_path / "no_such_preset").mkdir()
+        code, out, err = run_cli(capsys, "run", "no_such_preset")
+        assert code == 2
+        assert out == ""
+        assert "neither a file nor a bundled preset" in err
 
     def test_wifi_only_preset_under_simulation(self, capsys):
         code, out, _ = run_cli(capsys, "run", "table4_case1",

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laacoex import cli
-from laacoex.core import (LaaParams, Scenario, WifiParams, derived_durations,
-                          scenario_from_dict, scenario_to_dict)
+from laacoex.core import (ED_BLOCKS, LaaParams, Scenario, WifiParams,
+                          derived_durations, scenario_from_dict,
+                          scenario_to_dict)
 
 
 class TestDerivedDurations:
@@ -119,22 +120,22 @@ class TestScenarioFiles:
     def test_dict_round_trip(self, s):
         assert scenario_from_dict(scenario_to_dict(s)) == s
 
+    ED = {"threshold_dbm": -72.0, "snr_db": 22.0, "noise_power_dbm": -94.0,
+          "samples": 680}
+
     def test_ed_block_fills_detection_probability(self):
-        s = scenario_from_dict({
-            "n_wifi": 1, "n_laa": 1,
-            "ed_wifi": {"threshold_dbm": -72.0, "snr_db": 22.0,
-                        "noise_power_dbm": -94.0, "samples": 680},
-        })
-        assert s.p_dw == pytest.approx(0.546, abs=0.005)
-        assert s.p_dl == 1.0
+        for field, other in (("p_dw", "p_dl"), ("p_dl", "p_dw")):
+            s = scenario_from_dict({"n_wifi": 1, "n_laa": 1,
+                                    ED_BLOCKS[field]: self.ED})
+            assert getattr(s, field) == pytest.approx(0.546, abs=0.005)
+            assert getattr(s, other) == 1.0
 
     def test_ed_block_conflicts_with_scalar(self):
-        with pytest.raises(ValueError, match="ed_wifi"):
-            scenario_from_dict({
-                "n_wifi": 1, "n_laa": 1, "p_dw": 0.5,
-                "ed_wifi": {"threshold_dbm": -72.0, "snr_db": 22.0,
-                            "noise_power_dbm": -94.0, "samples": 680},
-            })
+        for field, block in ED_BLOCKS.items():
+            with pytest.raises(ValueError, match=f"^give either {field} or "
+                                                 f"{block}, not both$"):
+                scenario_from_dict({"n_wifi": 1, "n_laa": 1, field: 0.5,
+                                    block: self.ED})
 
 
 class TestYamlLoader:

@@ -5,6 +5,44 @@ import pytest
 from laacoex.ed import EdConfig, dbm_to_mw, detection_probability
 
 
+def upper_gamma_q(a, x):
+    """The regularised upper incomplete gamma Q(a, x) = Gamma(a, x) / Gamma(a):
+    one minus the series of P(a, x) below x = a + 1, Lentz's continued
+    fraction at and above it (Numerical Recipes, section 6.2)."""
+    if x <= 0.0:
+        return 1.0
+    front = math.exp(a * math.log(x) - x - math.lgamma(a))
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        for n in range(1, 10_000):
+            term *= x / (a + n)
+            total += term
+            if term < total * 1e-17:
+                return 1.0 - front * total
+    else:
+        tiny = 1e-300
+        b = x + 1.0 - a
+        c, d = 1.0 / tiny, 1.0 / b
+        h = d
+        for n in range(1, 10_000):
+            an, b = n * (a - n), b + 2.0
+            d = 1.0 / (an * d + b or tiny)
+            c = b + an / c or tiny
+            h *= d * c
+            if abs(d * c - 1.0) < 1e-16:
+                return front * h
+    raise ArithmeticError(f"Q({a}, {x}) did not converge")
+
+
+def chi2_detection_probability(c):
+    """The exact P_d under the model's own assumptions: M * T / total is
+    chi-squared with M degrees of freedom, so P(T > eta) is
+    Q(M / 2, M * eta / (2 * total))."""
+    eta = dbm_to_mw(c.threshold_dbm)
+    total = dbm_to_mw(c.signal_power_dbm) + dbm_to_mw(c.noise_power_dbm)
+    return upper_gamma_q(c.samples / 2, c.samples * eta / (2.0 * total))
+
+
 class TestDbmConversion:
     @pytest.mark.parametrize("dbm, mw", [(0.0, 1.0), (-30.0, 1e-3),
                                          (10.0, 10.0)])
@@ -77,3 +115,38 @@ class TestDetectionProbability:
         # out-of-range powers would overflow 10**(dBm/10) or divide 0 by 0
         with pytest.raises(ValueError, match=field):
             build()
+
+
+class TestChiSquaredOracle:
+    """``detection_probability`` is the Gaussian, large-M approximation of
+    the chi-squared statistic; the oracle is exact under the same model."""
+
+    @pytest.mark.parametrize("x", [1e-3, 0.5, 1.9, 2.1, 2.9, 3.1, 10.0, 40.0])
+    def test_closed_forms(self, x):
+        # both branches of Q: the series below x = a + 1, the fraction above
+        assert upper_gamma_q(1.0, x) == pytest.approx(math.exp(-x), rel=1e-12)
+        assert upper_gamma_q(2.0, x) == pytest.approx(math.exp(-x) * (1 + x),
+                                                      rel=1e-12)
+
+    # |Gaussian - chi-squared| over the thresholds -71.5, -72 and -72.5 dBm
+    # at SNR 22 dB and noise -94 dBm, per sample count M: the recorded
+    # bound. Largest at -72 dBm, where the Gaussian reads 0.5460 (C4),
+    # 0.5146 and 0.5071 against the exact 0.5389, 0.4918 and 0.4600.
+    GAP_BOUND = {680: 0.0072, 68: 0.0229, 16: 0.0472}
+
+    @pytest.mark.parametrize("samples", sorted(GAP_BOUND))
+    def test_gaussian_error_grows_as_samples_fall(self, samples):
+        gaps = []
+        for threshold in (-71.5, -72.0, -72.5):
+            cfg = operating_point(threshold, samples)
+            gaps.append(abs(detection_probability(cfg)
+                            - chi2_detection_probability(cfg)))
+        assert max(gaps) == gaps[1] <= self.GAP_BOUND[samples]
+        # the error grows as M falls: the gap exceeds every larger M's bound
+        larger = [m for m in self.GAP_BOUND if m > samples]
+        assert all(max(gaps) > self.GAP_BOUND[m] for m in larger)
+
+    def test_c4_point(self):
+        cfg = operating_point(-72.0)
+        assert round(detection_probability(cfg), 4) == 0.5460
+        assert round(chi2_detection_probability(cfg), 4) == 0.5389

@@ -413,6 +413,8 @@ class TestReferenceStream:
         bits_l = float(counts[2] * Fraction(bit_l))
         assert report.tput_wifi_mbps == float(Fraction(bits_w) / Fraction(time))
         assert report.tput_laa_mbps == float(Fraction(bits_l) / Fraction(time))
+        assert report.tput_total_mbps == (report.tput_wifi_mbps
+                                          + report.tput_laa_mbps)
         assert report.t_e_us == float(Fraction(time) / sum(counts))
 
 

@@ -184,6 +184,7 @@ def test_report_internal_consistency(s):
         rep.tput_wifi_mbps / s.n_wifi, abs=1e-15)
     assert rep.per_user_laa_mbps == pytest.approx(
         rep.tput_laa_mbps / s.n_laa, abs=1e-15)
+    assert rep.tput_total_mbps == rep.tput_wifi_mbps + rep.tput_laa_mbps
 
 
 def test_total_coexistence_below_baseline_on_matched_contention():
