@@ -23,17 +23,20 @@ import yaml
 
 from . import __version__
 from ._fields import check_keys, check_value
-from .core import (ED_BLOCKS, Scenario, ThroughputReport, check_run_length,
-                   scenario_from_dict, scenario_to_dict)
+from .core import (ED_BLOCKS, Scenario, Solution, ThroughputReport,
+                   check_run_length, scenario_from_dict, scenario_to_dict)
 from .solver import ConvergenceError, SolverConfig, solve_coexistence
 from .throughput import (EVENT_CLASSES, coexistence_throughput,
                          wifi_only_throughput)
 
 OUT_DIR_ENV = "LAACOEX_OUT_DIR"
 
-# each detection axis and the probability it sweeps
-_DETECTION_AXES = {"detection_wifi": "p_dw", "detection_laa": "p_dl"}
-SWEEP_AXES = ("total_nodes", "node_split", "retry_limit", *_DETECTION_AXES)
+# each sweep axis: its values' type and the path of the field it sets, which
+# its base may not give (the node axes set n_wifi and n_laa, which all give)
+SWEEP_AXES = {"total_nodes": (int, None), "node_split": (int, None),
+              "retry_limit": (int, "laa.retry_limit"),
+              "detection_wifi": (float, "p_dw"),
+              "detection_laa": (float, "p_dl")}
 
 
 def sweep_spec_from_dict(data: dict) -> tuple[str, tuple]:
@@ -46,12 +49,15 @@ def sweep_spec_from_dict(data: dict) -> tuple[str, tuple]:
     base = scenario_from_dict(data["base"])
     axis = data["axis"]
     if axis not in SWEEP_AXES:
-        raise ValueError(
-            f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
-    field = _DETECTION_AXES.get(axis)
-    if field and ED_BLOCKS[field] in data["base"]:
-        raise ValueError(f"axis {axis} sweeps {field}, which the base's "
-                         f"{ED_BLOCKS[field]} block sets; give one, not both")
+        raise ValueError(f"unknown sweep axis {axis!r}; expected one of "
+                         f"{tuple(SWEEP_AXES)}")
+    group, _, name = (SWEEP_AXES[axis][1] or "").rpartition(".")
+    given = data["base"].get(group, {}) if group else data["base"]
+    block = ED_BLOCKS.get(name)
+    if name in given or block in given:
+        where = f"'s {block} block" if block in given else ""
+        raise ValueError(f"axis {axis} sweeps {SWEEP_AXES[axis][1]}, which "
+                         f"the base{where} sets; give one, not both")
     if not data["range"]:
         raise ValueError("sweep range must be non-empty")
     return axis, tuple((value, _scenario_for_point(axis, value, base))
@@ -61,7 +67,8 @@ def sweep_spec_from_dict(data: dict) -> tuple[str, tuple]:
 def _scenario_for_point(axis: str, value, base: Scenario) -> Scenario:
     """The scenario at one axis value; the type that owns each parameter
     checks it, and any error names the axis and the value."""
-    check_value(axis, "float" if axis in _DETECTION_AXES else "int", value)
+    kind, path = SWEEP_AXES[axis]
+    check_value(axis, kind.__name__, value)
     try:
         if axis == "total_nodes":
             if value % 2:
@@ -70,11 +77,12 @@ def _scenario_for_point(axis: str, value, base: Scenario) -> Scenario:
         if axis == "node_split":
             return replace(base, n_wifi=value,
                            n_laa=base.n_wifi + base.n_laa - value)
-        if axis == "retry_limit":
-            if base.comparison_mode:
-                raise ValueError("comparison mode fixes the retry limit at 0")
-            return replace(base, laa=replace(base.laa, retry_limit=value))
-        return replace(base, **{_DETECTION_AXES[axis]: float(value)})
+        if axis == "retry_limit" and base.comparison_mode:
+            raise ValueError("comparison mode fixes the retry limit at 0")
+        group, _, name = path.rpartition(".")
+        field = (replace(getattr(base, group), **{name: kind(value)})
+                 if group else kind(value))
+        return replace(base, **{group or name: field})
     except ValueError as err:
         raise ValueError(f"{axis} value {value!r}: {err}") from None
 
@@ -99,18 +107,14 @@ def _scenario_cells(s: Scenario) -> dict:
     return dict(zip(_SCENARIO_COLUMNS, _scenario_values(s)))
 
 
-_EVENT_COLUMNS = tuple(f"{cls.replace('-', '_')}_events"
-                       for cls in EVENT_CLASSES)
+_EVENT_COLUMNS = tuple(f"{c.replace('-', '_')}_events" for c in EVENT_CLASSES)
 
-_RUN_COLUMNS = ("engine",) + _SCENARIO_COLUMNS + (
-    "tau_w", "tau_l", "p_w", "p_l", "residual", "iterations",
-    "p_trw", "p_sw", "p_trl", "p_sl",
-    "t_sw_us", "t_cw_us", "t_sl_us", "t_cl_us", "t_cc_us", "t_e_us",
-    "tput_wifi_mbps", "tput_laa_mbps", "tput_total_mbps",
-    "per_user_wifi_mbps", "per_user_laa_mbps",
-    "seed", "horizon_events", "warmup_events",
-    "stderr_tput_wifi_mbps", "stderr_tput_laa_mbps",
-) + _EVENT_COLUMNS
+# the results: Solution's fields but the solver's method, then the report's
+_RUN_COLUMNS = ("engine", *_SCENARIO_COLUMNS,
+                *(f.name for f in fields(Solution) if f.name != "method"),
+                *_REPORT_FIELDS, "seed", "horizon_events", "warmup_events",
+                "stderr_tput_wifi_mbps", "stderr_tput_laa_mbps",
+                *_EVENT_COLUMNS)
 
 _SWEEP_COLUMNS = ("axis", "axis_value", "status") + _SCENARIO_COLUMNS + (
     "wifi_only_total_mbps", "wifi_only_per_user_mbps",
@@ -125,8 +129,7 @@ def _engine_row(engine: str, s: Scenario, probs, rep: ThroughputReport,
     every ThroughputReport field; then ``extra``."""
     row = {"engine": engine, **_scenario_cells(s), "tau_w": probs.tau_w,
            "tau_l": probs.tau_l, "p_w": probs.p_w, "p_l": probs.p_l}
-    row.update(zip(_REPORT_FIELDS, _report_values(rep)))
-    row.update(extra)
+    row.update(zip(_REPORT_FIELDS, _report_values(rep)), **extra)
     return row
 
 
@@ -170,26 +173,18 @@ def run_sweep(axis: str, points, cfg: SolverConfig) -> list[dict]:
     the sweep, so partial results are always inspectable.
     """
     rows = []
-    wifi_only = {}  # (n, WifiParams) -> report: one solve per baseline
+    wifi_only = cache(wifi_only_throughput)     # one solve per baseline
     for value, point in points:
         row = {"axis": axis, "axis_value": value, "status": "ok"}
         row.update(_scenario_cells(point))
         try:
             # the baseline: the point's whole population, all Wi-Fi
-            key = (point.n_wifi + point.n_laa, point.wifi)
-            if key not in wifi_only:
-                wifi_only[key] = wifi_only_throughput(*key, cfg)
-            baseline = wifi_only[key]
+            baseline = wifi_only(point.n_wifi + point.n_laa, point.wifi, cfg)
             coex = coexistence_throughput(point, solve_coexistence(point, cfg))
-            row.update(
-                wifi_only_total_mbps=baseline.tput_wifi_mbps,
-                wifi_only_per_user_mbps=baseline.per_user_wifi_mbps,
-                coex_tput_wifi_mbps=coex.tput_wifi_mbps,
-                coex_tput_laa_mbps=coex.tput_laa_mbps,
-                coex_total_mbps=coex.tput_total_mbps,
-                coex_per_user_wifi_mbps=coex.per_user_wifi_mbps,
-                coex_per_user_laa_mbps=coex.per_user_laa_mbps,
-            )
+            # the coex_ columns are the report's last five fields, in order
+            row.update(zip(_SWEEP_COLUMNS[-7:], (
+                baseline.tput_wifi_mbps, baseline.per_user_wifi_mbps,
+                *_report_values(coex)[-5:])))
         except ConvergenceError as err:
             row["status"] = (f"no-convergence(residual={err.residual:.3e},"
                              f"iterations={err.iterations})")

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from ._fields import check_field_types, check_keys
 from .ed import EdConfig, detection_probability
 
-BITS_PER_BYTE = 8
+BITS_PER_BYTE = 8.0   # a float: bytes beyond the float range / 8 give inf
 # The simulator draws backoff counters from 64-bit words, so the largest
 # contention window w0 * 2**m may be at most 2**64 slots.
 _MAX_WINDOW_BITS = 64
@@ -203,14 +203,6 @@ def scenario_to_dict(s: Scenario) -> dict:
     return asdict(s)
 
 
-def _params_from_dict(cls, mapping: dict, where: str):
-    check_keys(mapping, where, (f.name for f in fields(cls)))
-    try:
-        return cls(**mapping)
-    except ValueError as err:
-        raise ValueError(f"{where}: {err}") from None
-
-
 def _detection_from_block(block: dict, where: str) -> float:
     check_keys(block, where, ("threshold_dbm", "signal_power_dbm", "snr_db",
                               "noise_power_dbm", "samples"),
@@ -248,7 +240,11 @@ def scenario_from_dict(data: dict) -> Scenario:
     kwargs = {k: data[k] for k in _SCALAR_FIELDS if k in data}
     for key, cls in (("wifi", WifiParams), ("laa", LaaParams)):
         if key in data:
-            kwargs[key] = _params_from_dict(cls, data[key], key)
+            check_keys(data[key], key, (f.name for f in fields(cls)))
+            try:
+                kwargs[key] = cls(**data[key])
+            except ValueError as err:
+                raise ValueError(f"{key}: {err}") from None
     for field, block in ED_BLOCKS.items():
         if block in data:
             _require(field not in data,

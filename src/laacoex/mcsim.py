@@ -373,11 +373,10 @@ def _report(s, batches) -> SimReport:
         p_l=col_l / att_l if att_l else 0.0,
         event_counts=counts,
         stderr=stderr)
-    for name, value in chain(vars(report).items(), (
-            (f"stderr_{key}", err) for key, err in stderr.items())):
-        if isinstance(value, float) and not math.isfinite(value):
-            raise OverflowError(f"simulated {name} is {value}: a time, rate "
-                                "or size is out of floating-point range")
+    for key, err in stderr.items():
+        if not math.isfinite(err):
+            raise OverflowError(f"stderr_{key} is {err}: a time, rate or "
+                                "size is out of floating-point range")
     return report
 
 

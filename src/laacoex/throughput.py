@@ -73,9 +73,9 @@ def event_durations(s: Scenario) -> tuple[float, ...]:
         psize, mach, ack = derived_durations(wifi)
         t_sw = (mach + wifi.phy_header_us + psize + wifi.sifs_us
                 + wifi.prop_delay_us + ack + wifi.difs_us + wifi.prop_delay_us)
-        if not math.isfinite(t_sw):  # finite inputs too large for their sum
-            raise OverflowError(f"t_sw_us is {t_sw}: a Wi-Fi time or rate is "
-                                "out of floating-point range")
+        if not math.isfinite(t_sw):  # the simulator sums it before a report
+            raise OverflowError(f"t_sw_us is {t_sw}: a Wi-Fi time, rate or "
+                                "size is out of floating-point range")
         t_cw = (mach + wifi.phy_header_us + psize + wifi.difs_us
                 + wifi.prop_delay_us)
     if s.n_laa:
@@ -101,13 +101,23 @@ def _build_report(cls, s: Scenario, probs, durations, bits, time: float,
                   events=1, **extra):
     """A ``cls`` report, ThroughputReport's fields in order and then
     ``extra``, of ``events`` events lasting ``time`` in all that delivered
-    ``bits`` per network; per-user figures are 0 without users."""
+    ``bits`` per network; per-user figures are 0 without users. OverflowError
+    names the first float field not finite, or a 0.0 throughput of a network
+    whose success weight from ``probs`` is positive (a counted success)."""
     _, t_sw, t_sl, t_cw, t_cl, t_cc = durations
     tput_w, tput_l = bits[0] / time, bits[1] / time
-    return cls(*probs, t_sw, t_cw, t_sl, t_cl, t_cc, time / events,
-               tput_w, tput_l, tput_w + tput_l,
-               tput_w / s.n_wifi if s.n_wifi else 0.0,
-               tput_l / s.n_laa if s.n_laa else 0.0, **extra)
+    report = cls(*probs, t_sw, t_cw, t_sl, t_cl, t_cc, time / events,
+                 tput_w, tput_l, tput_w + tput_l,
+                 tput_w / s.n_wifi if s.n_wifi else 0.0,
+                 tput_l / s.n_laa if s.n_laa else 0.0, **extra)
+    wins = dict(zip(("tput_wifi_mbps", "tput_laa_mbps"),
+                    event_weights(*probs)[1:3]))
+    for name, value in vars(report).items():
+        if isinstance(value, float) and not (
+                math.isfinite(value) and (value or not wins.get(name))):
+            raise OverflowError(f"{name} is {value}: a time, rate or size "
+                                "is out of floating-point range")
+    return report
 
 
 def coexistence_throughput(s: Scenario, sol: Solution) -> ThroughputReport:

@@ -17,25 +17,11 @@ from laacoex.solver import SolverConfig, solve_coexistence
 from laacoex.throughput import (coexistence_throughput, event_weights,
                                 wifi_only_throughput)
 from markov_oracle import laa_stationary, wifi_stationary
-
-RATES = [(9.0, 7.8), (18.0, 15.6), (54.0, 70.2)]
-
-# (wifi w0, wifi m, laa w0, laa m, txop_us) for the two testbed cases
-CASE2 = (4, 1, 4, 1, 2000.0)
-CASE3 = (16, 2, 16, 2, 8000.0)
-
-
-def comparison_scenario(n_wifi, n_laa, case, r_w, r_l):
-    w0w, mw, w0l, ml, txop = case
-    return Scenario(
-        n_wifi=n_wifi, n_laa=n_laa,
-        wifi=WifiParams(w0=w0w, m=mw, data_rate_mbps=r_w),
-        laa=LaaParams(w0=w0l, m=ml, txop_us=txop, data_rate_mbps=r_l),
-        comparison_mode=True)
+from scenarios import CASE2, CASE3, RATES, comparison_cell
 
 
 def coex_pair(n_wifi, n_laa, case, r_w, r_l):
-    s = comparison_scenario(n_wifi, n_laa, case, r_w, r_l)
+    s = comparison_cell(n_wifi, n_laa, case, r_w, r_l)
     rep = coexistence_throughput(s, solve_coexistence(s))
     return rep.tput_wifi_mbps, rep.tput_laa_mbps
 
@@ -199,7 +185,7 @@ def test_c6_simulation_cross_validation():
     failures = []
     lines = []
     for case, n_wifi, n_laa, r_w, r_l in grid:
-        s = comparison_scenario(n_wifi, n_laa, case, r_w, r_l)
+        s = comparison_cell(n_wifi, n_laa, case, r_w, r_l)
         rep = coexistence_throughput(s, solve_coexistence(s))
         sim = simulate(SimConfig(scenario=s, horizon_events=2_000_000,
                                  seed=2024))
@@ -294,7 +280,7 @@ def test_c7_property_suites():
             for cmp_mode in (False, True):
                 if n_wifi + n_laa == 0:
                     continue
-                s = comparison_scenario(max(n_wifi, 0), n_laa, case, 9.0, 7.8)
+                s = comparison_cell(max(n_wifi, 0), n_laa, case, 9.0, 7.8)
                 s = Scenario(n_wifi=n_wifi, n_laa=n_laa, wifi=s.wifi,
                              laa=s.laa, comparison_mode=cmp_mode)
                 sol = solve_coexistence(s, cfg)

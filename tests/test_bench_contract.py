@@ -4,11 +4,14 @@ workload's own checks (golden CSVs, simulated against analytic throughput,
 event accounting), and every function bench/tracing.py wraps exists, bar
 the known-dead ones. Both modules are imported from their files, never
 changed. The committed perf trajectory, BENCH_<workload>.json at the
-repository root, is checked for the fields every entry must carry."""
+repository root, is checked for the fields every entry must carry, and its
+summaries and pairwise wins are recomputed from its runs."""
 import importlib.util
 import json
 import re
+import statistics
 import sys
+from collections import defaultdict
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -92,3 +95,37 @@ def test_trajectory_file_is_complete(workload):
             assert {name: m["unit"] for name, m
                     in run["result"]["metrics"].items()} == {
                 m["name"]: m["unit"] for m in BENCHMARK["end_to_end"]}
+
+
+@pytest.mark.parametrize("workload",
+                         [w["name"] for w in BENCHMARK["workloads"]])
+def test_trajectory_recomputes_from_its_runs(workload):
+    # each side's summary is its runs' quartiles, and each metric's wins
+    # compare the two sides' runs pair by pair: both exactly as recorded
+    data = json.loads((ROOT / f"BENCH_{workload}.json").read_text(
+        encoding="utf-8"))
+    for entry in data["entries"]:
+        trace = entry["trace0"]
+        values = defaultdict(dict)     # (metric, side) -> {pair: value}
+        for run in trace["runs"]:
+            for name, metric in run["result"]["metrics"].items():
+                values[name, run["side"]][run["pair"]] = metric["value"]
+        summary = trace["summary"]
+        for side, metrics in summary.items():
+            for name, recorded in metrics.items():
+                runs = list(values[name, side].values())
+                q1, median, q3 = statistics.quantiles(runs, n=4,
+                                                      method="inclusive")
+                assert (recorded["median"], recorded["q1"], recorded["q3"],
+                        recorded["runs"]) == (median, q1, q3, len(runs))
+        for name, wins in trace["wins"].items():
+            parent, change = values[name, "parent"], values[name, "change"]
+            pairs = sorted(parent.keys() & change.keys())
+            sign = -1 if wins["better"] == "lower" else 1
+            before, after = summary["parent"][name], summary["change"][name]
+            assert (wins["change_wins"], wins["ties"], wins["pairs"],
+                    wins["parent_iqr"], wins["median_diff"]) == (
+                sum(sign * (change[i] - parent[i]) > 0 for i in pairs),
+                sum(change[i] == parent[i] for i in pairs), len(pairs),
+                before["q3"] - before["q1"],
+                after["median"] - before["median"])

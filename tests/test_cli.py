@@ -21,6 +21,8 @@ import laacoex
 from laacoex import EdConfig, cli, detection_probability, solver, throughput
 from laacoex.core import (LaaParams, Scenario, Solution, ThroughputReport,
                           WifiParams, scenario_to_dict)
+from laacoex.mcsim import MAX_STATIONS
+from scenarios import scenarios
 
 SRC_DIR = Path(laacoex.__file__).resolve().parent.parent
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "bench" / "golden"
@@ -227,6 +229,33 @@ class TestRunCommand:
         assert code == 3
         assert out == ""
         assert re.search(rf"\b{field}\b", err)
+
+    @pytest.mark.parametrize("engine", ["analytic", "simulate"])
+    @pytest.mark.parametrize("body, field", [
+        # the slot and DIFS (and so LAA's turnaround) at the largest float:
+        # each duration is finite, the expected event time is not
+        ("n_wifi: 2\nn_laa: 2\ncomparison_mode: true\n"
+         "wifi: {slot_us: 1.7976931348623157e+308, "
+         "difs_us: 1.7976931348623157e+308}\n", "t_e_us"),
+        # an LAA that wins the channel, its bits per TXOP underflowing to 0
+        ("n_wifi: 1\nn_laa: 1\nlaa: {txop_us: 5.0e-324, "
+         "next_tx_delay_us: 5.0e-324, data_rate_mbps: 1.0}\nwifi: {"
+         + ", ".join(f"{key}: 5.0e-324" for key in (
+             "phy_header_us", "difs_us", "sifs_us", "slot_us",
+             "prop_delay_us")) + "}\n", "tput_laa_mbps"),
+        # eight times the byte count lies beyond the largest float
+        (f"n_wifi: 1\nn_laa: 1\nwifi: {{payload_bytes: "
+         f"{int(sys.float_info.max)}}}\n", "t_sw_us")],
+        ids=["expected-time", "txop-bits", "payload-bits"])
+    def test_meaningless_report_exits_3(self, tmp_path, capsys, engine, body,
+                                        field):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(body)
+        code, out, err = run_cli(capsys, "run", str(bad), "--engine", engine,
+                                 "--horizon", "2000", "--warmup", "100")
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"error: {field} is "), err
 
     def test_pure_wifi_comparison_mode_runs_comparison_chain(self, tmp_path,
                                                              capsys):
@@ -485,6 +514,24 @@ class TestSweepCommand:
         assert [r["p_dw"] for r in rows] == ["0.2", "0.4"]
         assert {r["p_dl"] for r in rows} == {repr(detection_probability(
             EdConfig.from_snr(-72.0, 22.0, -94.0, 680)))}
+
+    @pytest.mark.parametrize("axis, field, given, values", [
+        ("detection_wifi", "p_dw", "p_dw: 0.5", "[0.2, 0.4]"),
+        ("detection_laa", "p_dl", "p_dl: 0.5", "[0.2, 0.4]"),
+        ("retry_limit", "laa.retry_limit", "laa: {retry_limit: 5}",
+         "[1, 2]")])
+    def test_axis_refuses_a_base_that_gives_its_field(self, tmp_path, capsys,
+                                                      axis, field, given,
+                                                      values):
+        # the axis would override the value the base gives
+        spec = tmp_path / "given.yaml"
+        spec.write_text(f"axis: {axis}\nrange: {values}\n"
+                        f"base: {{n_wifi: 2, n_laa: 2, {given}}}\n")
+        code, out, err = run_cli(capsys, "sweep", str(spec))
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: axis {axis} sweeps {field}, which the base "
+                       "sets; give one, not both\n")
 
     def test_retry_limit_sweep_increases(self, capsys):
         _, out, _ = run_cli(capsys, "sweep", "fig12")
@@ -921,6 +968,19 @@ _scenario_files = st.fixed_dictionaries(
               **{g: _group(g, keys) for g, keys in _GROUP_KEYS.items()}})
 
 
+def non_finite(row):
+    """The columns of a CSV row whose cells read as numbers but not finite
+    ones."""
+    bad = []
+    for column, cell in row.items():
+        try:
+            if not math.isfinite(float(cell)):
+                bad.append(column)
+        except ValueError:
+            pass
+    return bad
+
+
 def _run_file(data, *flags):
     """cli.main(["run", file, *flags]) on ``data`` dumped to a YAML file."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -937,15 +997,8 @@ def _run_file(data, *flags):
 # are further apart than the bisection width; w0 = 1 with many stages stalls
 # the damped iteration into the fallback (1+2 at m = 9 does), and tiny
 # tolerances force its ConvergenceError.
-_small_window_files = st.fixed_dictionaries(
-    {"n_wifi": st.integers(0, 6), "n_laa": st.integers(0, 6),
-     "wifi": st.fixed_dictionaries({"w0": st.sampled_from([1, 2, 4, 16]),
-                                    "m": st.integers(0, 10)}),
-     "laa": st.fixed_dictionaries({"w0": st.sampled_from([1, 2, 4, 16]),
-                                   "m": st.integers(0, 10),
-                                   "retry_limit": st.integers(0, 8)})},
-    optional={"p_dw": st.floats(0.0, 1.0), "p_dl": st.floats(0.0, 1.0),
-              "comparison_mode": st.booleans()})
+_small_window_files = scenarios(w0=st.sampled_from([1, 2, 4, 16]),
+                                m=st.integers(0, 10)).map(scenario_to_dict)
 _solver_flags = st.one_of(st.floats(1e-300, 1e-2), st.sampled_from(
     [0.0, -1e-10, float("nan"), float("inf")])).map(
         lambda t: (f"--tolerance={t!r}",))
@@ -964,13 +1017,7 @@ class TestRunProperties:
             assert path in err or any(
                 re.search(rf"\b{key}\b", err) for key in _ALL_KEYS), err
         if code == 0:
-            _, _, rows = parse_csv(out)
-            for column, cell in rows[0].items():
-                try:
-                    value = float(cell)
-                except ValueError:
-                    continue
-                assert math.isfinite(value), (column, cell)
+            assert not non_finite(parse_csv(out)[2][0])
 
     @settings(max_examples=80, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -978,6 +1025,37 @@ class TestRunProperties:
     def test_any_solver_flags_exit_cleanly(self, data, flags):
         code, _, _, err = _run_file(data, *flags)
         assert code in (0, 2, 3), err
+
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(scenarios())
+    def test_every_winning_network_delivers(self, s):
+        # each engine exits 0 with finite numbers, in which a network that
+        # wins the channel (its success weight, or its success count, is
+        # positive) has a positive throughput, or exits 3 naming the field;
+        # the simulator refuses a population over its cap
+        for engine in ("analytic", "simulate"):
+            code, _, out, err = _run_file(
+                scenario_to_dict(s), "--engine", engine, "--horizon", "2000",
+                "--warmup", "100")
+            if engine == "simulate" and s.n_wifi + s.n_laa > MAX_STATIONS:
+                assert code == 2 and "n_wifi + n_laa must be <=" in err, err
+                continue
+            if code == 3:
+                named = re.fullmatch(r"error: (\w+) is \S+: .*\n", err)
+                assert named and named[1] in RUN_HEADER, err
+                assert out == ""
+                continue
+            assert code == 0, err
+            row = parse_csv(out)[2][0]
+            assert not non_finite(row), row
+            wins = (throughput.event_weights(*(float(row[c]) for c in (
+                "p_trw", "p_sw", "p_trl", "p_sl")))[1:3]
+                if engine == "analytic" else
+                (int(row["wifi_success_events"]),
+                 int(row["laa_success_events"])))
+            for net, won in zip(("wifi", "laa"), wins):
+                assert won == 0 or float(row[f"tput_{net}_mbps"]) > 0, row
 
 
 class TestBisectionFallback:
@@ -1033,24 +1111,9 @@ SWEEP_HEADER = ("axis", "axis_value", "status") + SCENARIO_HEADER + (
     "coex_per_user_wifi_mbps", "coex_per_user_laa_mbps")
 
 
-# Scenarios for the CSV cells: an int or a float DIFS, which comparison mode
-# copies into the LAA delay, and every field off its default.
-_cell_scenarios = st.builds(
-    Scenario, n_wifi=st.integers(0, 8), n_laa=st.integers(1, 8),
-    wifi=st.builds(WifiParams, w0=st.integers(1, 64), m=st.integers(0, 8),
-                   payload_bytes=st.integers(1, 10**4),
-                   difs_us=st.one_of(st.integers(1, 100),
-                                     st.floats(1.0, 100.0))),
-    laa=st.builds(LaaParams, retry_limit=st.integers(0, 8),
-                  txop_us=st.floats(1.0, 1e4),
-                  next_tx_delay_us=st.floats(1.0, 1e3)),
-    p_dw=st.floats(0.0, 1.0), p_dl=st.floats(0.0, 1.0),
-    comparison_mode=st.booleans())
-
-
 class TestScenarioCells:
     @settings(max_examples=200)
-    @given(_cell_scenarios)
+    @given(scenarios())
     def test_cells_are_the_flattened_dict_form(self, s):
         # the cells are read through attribute paths found once; they must
         # stay the scenario_to_dict values, in its order, of the same types

@@ -3,12 +3,12 @@ from dataclasses import replace
 import pytest
 import yaml
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from laacoex import cli
 from laacoex.core import (ED_BLOCKS, LaaParams, Scenario, WifiParams,
                           derived_durations, scenario_from_dict,
                           scenario_to_dict)
+from scenarios import scenarios
 
 
 class TestDerivedDurations:
@@ -75,48 +75,18 @@ class TestValidation:
                                 "wifi": {"cw_min": 16}})
 
 
-wifi_params = st.builds(
-    WifiParams,
-    w0=st.sampled_from([2, 4, 8, 16, 32]),
-    m=st.integers(0, 7),
-    payload_bytes=st.integers(100, 4000),
-    data_rate_mbps=st.sampled_from([6.0, 9.0, 18.0, 54.0]),
-    difs_us=st.floats(20.0, 60.0),
-)
-
-laa_params = st.builds(
-    LaaParams,
-    w0=st.sampled_from([4, 8, 16]),
-    m=st.integers(0, 7),
-    retry_limit=st.integers(0, 8),
-    txop_us=st.floats(1000.0, 10_000.0),
-    data_rate_mbps=st.sampled_from([7.8, 15.6, 70.2]),
-)
-
-scenarios = st.builds(
-    Scenario,
-    n_wifi=st.integers(0, 10),
-    n_laa=st.integers(1, 10),
-    wifi=wifi_params,
-    laa=laa_params,
-    p_dw=st.floats(0.0, 1.0),
-    p_dl=st.floats(0.0, 1.0),
-    comparison_mode=st.booleans(),
-)
-
-
 def load_yaml(text):
     return yaml.load(text, Loader=cli._YamlLoader)
 
 
 class TestScenarioFiles:
     @settings(max_examples=200)
-    @given(scenarios)
+    @given(scenarios())
     def test_yaml_round_trip(self, s):
         text = yaml.safe_dump(scenario_to_dict(s), sort_keys=False)
         assert scenario_from_dict(load_yaml(text)) == s
 
-    @given(scenarios)
+    @given(scenarios())
     def test_dict_round_trip(self, s):
         assert scenario_from_dict(scenario_to_dict(s)) == s
 

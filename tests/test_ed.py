@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+from laacoex import cli, coexistence_throughput, solve_coexistence
+from laacoex.core import scenario_from_dict
 from laacoex.ed import EdConfig, dbm_to_mw, detection_probability
 
 
@@ -150,3 +152,26 @@ class TestChiSquaredOracle:
         cfg = operating_point(-72.0)
         assert round(detection_probability(cfg), 4) == 0.5460
         assert round(chi2_detection_probability(cfg), 4) == 0.5389
+
+    def test_table7_throughput_shift_grows_as_samples_fall(self):
+        # table7 with p_d on both networks from each formula: the exact p_d
+        # moves both throughputs by one share, -0.11% at table7's M = 680,
+        # -0.36% at 68 and -0.76% at 16
+        data = {key: value for key, value in cli._load_input("table7").items()
+                if not key.startswith("ed_")}
+
+        def tputs(p_d):
+            s = scenario_from_dict({**data, "p_dw": p_d, "p_dl": p_d})
+            rep = coexistence_throughput(s, solve_coexistence(s))
+            return rep.tput_wifi_mbps, rep.tput_laa_mbps
+
+        shifts = []
+        for samples in (680, 68, 16):
+            cfg = operating_point(-72.0, samples)
+            (gauss_w, gauss_l), (exact_w, exact_l) = map(tputs, (
+                detection_probability(cfg), chi2_detection_probability(cfg)))
+            shift = exact_w / gauss_w - 1.0
+            assert exact_l / gauss_l - 1.0 == pytest.approx(shift, abs=1e-4)
+            shifts.append(abs(shift))
+        assert shifts[0] <= 0.002
+        assert shifts[0] < shifts[1] < shifts[2]

@@ -20,14 +20,7 @@ from laacoex.mcsim import (_INC_CAP, _POOL_CHUNK, MAX_STATIONS, SimConfig,
 from laacoex.solver import solve_coexistence
 from laacoex.throughput import (coexistence_throughput, event_durations,
                                 event_probabilities, event_weights)
-
-
-def case3_scenario(n_wifi=1, n_laa=1):
-    return Scenario(
-        n_wifi=n_wifi, n_laa=n_laa,
-        wifi=WifiParams(w0=16, m=2, data_rate_mbps=9.0),
-        laa=LaaParams(w0=16, m=2, txop_us=8000.0, data_rate_mbps=7.8),
-        comparison_mode=True)
+from scenarios import CASE2, comparison_cell
 
 
 def wifi_only_scenario(n):
@@ -36,13 +29,13 @@ def wifi_only_scenario(n):
 
 class TestDeterminism:
     def test_identical_config_identical_report(self):
-        cfg = SimConfig(scenario=case3_scenario(), horizon_events=50_000,
+        cfg = SimConfig(scenario=comparison_cell(1, 1), horizon_events=50_000,
                         seed=123, warmup_events=1000)
         assert simulate(cfg) == simulate(cfg)
 
     def test_seed_changes_the_run(self):
-        a = SimConfig(scenario=case3_scenario(), horizon_events=50_000, seed=1)
-        b = SimConfig(scenario=case3_scenario(), horizon_events=50_000, seed=2)
+        a, b = (SimConfig(scenario=comparison_cell(1, 1),
+                          horizon_events=50_000, seed=seed) for seed in (1, 2))
         assert simulate(a) != simulate(b)
 
 
@@ -51,14 +44,6 @@ CLASS1_LAA = LaaParams(w0=4, m=1, retry_limit=1, defer_us=25.0,
                        txop_us=2000.0, next_tx_delay_us=500.0)
 CLASS4_LAA = LaaParams(w0=16, m=6, retry_limit=1, defer_us=79.0,
                        txop_us=8000.0, next_tx_delay_us=500.0)
-
-
-def class1_scenario(n_wifi, n_laa, r_w=9.0, r_l=7.8):
-    return Scenario(
-        n_wifi=n_wifi, n_laa=n_laa,
-        wifi=WifiParams(w0=4, m=1, data_rate_mbps=r_w),
-        laa=LaaParams(w0=4, m=1, txop_us=2000.0, data_rate_mbps=r_l),
-        comparison_mode=True)
 
 
 class TestReferenceStream:
@@ -105,11 +90,11 @@ class TestReferenceStream:
     RUNS = {
         # acceptance C6's red point
         "c6-red-point": (simulate, SimConfig(
-            scenario=class1_scenario(1, 1, 54.0, 70.2),
+            scenario=comparison_cell(1, 1, CASE2, 54.0, 70.2),
             horizon_events=50_000, seed=2024)),
         "class1-4+2": (simulate, SimConfig(
-            scenario=class1_scenario(4, 2), horizon_events=30_000, seed=11,
-            warmup_events=3_000)),
+            scenario=comparison_cell(4, 2, CASE2), horizon_events=30_000,
+            seed=11, warmup_events=3_000)),
         "class4-20+20-detection": (simulate, SimConfig(
             scenario=Scenario(n_wifi=20, n_laa=20,
                               wifi=WifiParams(data_rate_mbps=9.0),
@@ -133,11 +118,11 @@ class TestReferenceStream:
                               laa=LaaParams(w0=8, m=1, retry_limit=2)),
             horizon_events=30_000, seed=16, warmup_events=3_000)),
         "odd-horizon-no-warmup": (simulate, SimConfig(
-            scenario=class1_scenario(2, 2), horizon_events=10_007, seed=17,
-            warmup_events=0)),
+            scenario=comparison_cell(2, 2, CASE2), horizon_events=10_007,
+            seed=17, warmup_events=0)),
         # 60 counted events: 60 batches of one event each
         "few-counted-events": (simulate, SimConfig(
-            scenario=class1_scenario(1, 1), horizon_events=150, seed=18,
+            scenario=comparison_cell(1, 1, CASE2), horizon_events=150, seed=18,
             warmup_events=90)),
         # idle runs of hundreds of slots, straddling batches and binades
         "long-idle-runs": (simulate, SimConfig(
@@ -199,7 +184,7 @@ class TestReferenceStream:
         # skips the runner-up test, then a blind one (p_d = 0, no coin)
         # beside a certain one: collisions of every make-up on both
         "wifi-coin-laa-certain": (simulate, SimConfig(
-            scenario=replace(class1_scenario(4, 2), p_dw=0.546),
+            scenario=replace(comparison_cell(4, 2, CASE2), p_dw=0.546),
             horizon_events=30_000, seed=29, warmup_events=3_000)),
         "laa-blind-wifi-certain": (simulate, SimConfig(
             scenario=Scenario(n_wifi=3, n_laa=3, wifi=WifiParams(w0=8, m=2),
@@ -484,7 +469,7 @@ class TestAgainstReferenceLoop:
 
 class TestAccounting:
     def test_event_counts_sum_to_counted_horizon(self):
-        cfg = SimConfig(scenario=case3_scenario(2, 2), horizon_events=80_000,
+        cfg = SimConfig(scenario=comparison_cell(2, 2), horizon_events=80_000,
                         seed=5, warmup_events=7_000)
         report = simulate(cfg)
         assert sum(report.event_counts.values()) == 73_000
@@ -499,14 +484,14 @@ class TestAccounting:
         assert report.tput_laa_mbps == 0.0
 
     def test_stderr_keys_present(self):
-        report = simulate(SimConfig(scenario=case3_scenario(),
+        report = simulate(SimConfig(scenario=comparison_cell(1, 1),
                                     horizon_events=30_000, seed=4))
         assert set(report.stderr) == {"tput_wifi_mbps", "tput_laa_mbps",
                                       "tau_w", "tau_l", "p_w", "p_l"}
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            SimConfig(scenario=case3_scenario(), horizon_events=100,
+            SimConfig(scenario=comparison_cell(1, 1), horizon_events=100,
                       warmup_events=100)
 
     @pytest.mark.parametrize("field, value", [
@@ -514,7 +499,7 @@ class TestAccounting:
         ("seed", "7")])
     def test_counts_and_seed_must_be_integers(self, field, value):
         with pytest.raises(ValueError, match=field):
-            SimConfig(scenario=case3_scenario(), **{field: value})
+            SimConfig(scenario=comparison_cell(1, 1), **{field: value})
 
     # only counts above the cap: they are refused before any list is built
     @pytest.mark.parametrize("n_wifi, n_laa", [
@@ -550,7 +535,7 @@ class TestAccounting:
 
 class TestReportShape:
     def test_report_is_a_measured_throughput_report(self):
-        s = case3_scenario(2, 2)
+        s = comparison_cell(2, 2)
         report = simulate(SimConfig(scenario=s, horizon_events=30_000,
                                     seed=4))
         assert isinstance(report, ThroughputReport)
@@ -572,7 +557,7 @@ class TestRawScenario:
     overrides, so every engine runs on retry limit 0 and a DIFS turnaround,
     as on the scenario built from the overrides' own values."""
 
-    EFF = class1_scenario(1, 1, 54.0, 70.2)   # acceptance C6's red point
+    EFF = comparison_cell(1, 1, CASE2, 54.0, 70.2)  # C6's red point
     RAW = replace(EFF, laa=replace(EFF.laa, retry_limit=5,
                                    next_tx_delay_us=900.0))
 
@@ -596,7 +581,7 @@ class TestAgainstAnalyticModel:
         assert report.tput_wifi_mbps == pytest.approx(7.77, rel=0.02)
 
     def test_access_probabilities_match_fixed_point(self):
-        s = case3_scenario()
+        s = comparison_cell(1, 1)
         sol = solve_coexistence(s)
         report = simulate(SimConfig(scenario=s, horizon_events=200_000,
                                     seed=31))
@@ -608,12 +593,7 @@ class TestAgainstAnalyticModel:
     def test_event_frequencies_match_expected_weights(self):
         # the six analytic event weights; the slotted simulator must land on
         # them up to sampling noise plus the small decoupling bias
-        for s in (case3_scenario(2, 2),
-                  Scenario(n_wifi=4, n_laa=2,
-                           wifi=WifiParams(w0=4, m=1, data_rate_mbps=9.0),
-                           laa=LaaParams(w0=4, m=1, txop_us=2000.0,
-                                         data_rate_mbps=7.8),
-                           comparison_mode=True)):
+        for s in (comparison_cell(2, 2), comparison_cell(4, 2, CASE2)):
             probs = event_probabilities(solve_coexistence(s), s.n_wifi,
                                         s.n_laa)
             weights = dict(zip(EVENT_CLASSES, event_weights(*probs)))
@@ -868,11 +848,7 @@ class TestExactTwoNodeChain:
 
     def test_simulator_matches_exact_chain_on_smallest_windows(self):
         # the harshest decoupling regime: two stations on windows {4, 8}
-        s = Scenario(n_wifi=1, n_laa=1,
-                     wifi=WifiParams(w0=4, m=1, data_rate_mbps=54.0),
-                     laa=LaaParams(w0=4, m=1, txop_us=2000.0,
-                                   data_rate_mbps=70.2),
-                     comparison_mode=True)
+        s = comparison_cell(1, 1, CASE2, 54.0, 70.2)
         exact_w, exact_l = self.exact_throughputs(s)
         assert (exact_w, exact_l) == pytest.approx(tuple(map(float.fromhex, (
             "0x1.267bcdd7b530fp+2", "0x1.24e8dc70e8e51p+5"))), rel=1e-12)
@@ -913,10 +889,10 @@ class TestTrace:
     # 1+6 dump holds cross collisions where Wi-Fi's one station draws its
     # coin.
     DUMPS = {
-        "1+1": (case3_scenario(), "d64dfb09c3a952212c614dc5c4027d17"
+        "1+1": (comparison_cell(1, 1), "d64dfb09c3a952212c614dc5c4027d17"
                                   "ccd72bd2b75b5ee7c66f66649b55abb8", 5),
         "5+5-detection": (
-            replace(case3_scenario(5, 5), p_dw=0.546, p_dl=0.546),
+            replace(comparison_cell(5, 5), p_dw=0.546, p_dl=0.546),
             "fc40f193a12bdf5719ee593d788aad76e1cb0fce4d6d834f24dadb29aa994e8a",
             3),
         "2+2-non-comparison": (

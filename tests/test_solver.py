@@ -2,12 +2,12 @@ from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from laacoex import solver
 from laacoex.core import LaaParams, Scenario, WifiParams
 from laacoex.markov import chain_tau
 from laacoex.solver import ConvergenceError, SolverConfig, solve_coexistence
+from scenarios import comparison_cell, scenarios
 
 
 def solve_wifi_only(n, w0, m):
@@ -139,7 +139,7 @@ class TestCoexistence:
 RESIDUAL_GRID = [
     make_scenario(2, 2),
     make_scenario(1, 1, w0w=4, mw=1, w0l=4, ml=1, e_l=0, comparison=True),
-    make_scenario(4, 2, w0w=16, mw=2, w0l=16, ml=2, comparison=True),
+    comparison_cell(4, 2),
     make_scenario(10, 10, w0w=8, mw=1, w0l=8, ml=1, e_l=8),
     make_scenario(5, 5, p_dw=0.546, p_dl=0.546),
     make_scenario(3, 0),
@@ -177,26 +177,8 @@ def test_residual_honored_at_solution(scenario):
 
 
 @settings(max_examples=120, deadline=None)
-@given(
-    n_wifi=st.integers(0, 12),
-    n_laa=st.integers(0, 12),
-    w0w=st.sampled_from([2, 4, 8, 16, 32]),
-    mw=st.integers(0, 7),
-    w0l=st.sampled_from([4, 8, 16]),
-    ml=st.integers(0, 7),
-    e_l=st.integers(0, 8),
-    p_dw=st.floats(0.0, 1.0),
-    p_dl=st.floats(0.0, 1.0),
-    comparison=st.booleans(),
-)
-def test_any_valid_scenario_solves_within_tolerance(
-        n_wifi, n_laa, w0w, mw, w0l, ml, e_l, p_dw, p_dl, comparison):
-    if n_wifi + n_laa == 0:
-        n_wifi = 1
-    s = Scenario(n_wifi=n_wifi, n_laa=n_laa,
-                 wifi=WifiParams(w0=w0w, m=mw),
-                 laa=LaaParams(w0=w0l, m=ml, retry_limit=e_l),
-                 p_dw=p_dw, p_dl=p_dl, comparison_mode=comparison)
+@given(scenarios())
+def test_any_valid_scenario_solves_within_tolerance(s):
     cfg = SolverConfig()
     sol = solve_coexistence(s, cfg)
     assert sol.residual <= cfg.tolerance

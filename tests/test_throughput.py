@@ -9,6 +9,7 @@ from laacoex.solver import solve_coexistence
 from laacoex.throughput import (coexistence_throughput, event_durations,
                                 event_probabilities, event_weights,
                                 wifi_only_throughput)
+from scenarios import CASE2, CASE3, comparison_cell
 
 RUN_PRESETS = ("table4_case1", "table4_case2", "table4_case3", "table5",
                "table6", "table7")
@@ -108,23 +109,15 @@ class TestExpectedEventTime:
         assert coexistence_throughput(s, sol_).t_e_us == t_e
 
 
-def comparison_scenario(n_wifi, n_laa, w0, m, txop, r_w, r_l):
-    return Scenario(
-        n_wifi=n_wifi, n_laa=n_laa,
-        wifi=WifiParams(w0=w0, m=m, data_rate_mbps=r_w),
-        laa=LaaParams(w0=w0, m=m, txop_us=txop, data_rate_mbps=r_l),
-        comparison_mode=True)
-
-
 class TestReferenceThroughputs:
     def test_one_on_one_class3(self):
-        s = comparison_scenario(1, 1, 16, 2, 8000.0, 9.0, 7.8)
+        s = comparison_cell(1, 1)
         rep = coexistence_throughput(s, solve_coexistence(s))
         assert rep.tput_wifi_mbps == pytest.approx(1.49, rel=0.05)
         assert rep.tput_laa_mbps == pytest.approx(5.26, rel=0.05)
 
     def test_two_on_two_class1(self):
-        s = comparison_scenario(2, 2, 4, 1, 2000.0, 18.0, 15.6)
+        s = comparison_cell(2, 2, CASE2, 18.0, 15.6)
         rep = coexistence_throughput(s, solve_coexistence(s))
         assert rep.tput_wifi_mbps == pytest.approx(2.68, rel=0.05)
         assert rep.tput_laa_mbps == pytest.approx(4.66, rel=0.05)
@@ -156,9 +149,9 @@ def test_no_laa_reduces_to_baseline(n, w0, m, r_w):
 
 
 SWEEP_GRID = [
-    comparison_scenario(1, 1, 16, 2, 8000.0, 9.0, 7.8),
-    comparison_scenario(2, 2, 4, 1, 2000.0, 54.0, 70.2),
-    comparison_scenario(4, 2, 16, 2, 8000.0, 18.0, 15.6),
+    comparison_cell(1, 1),
+    comparison_cell(2, 2, CASE2, 54.0, 70.2),
+    comparison_cell(4, 2, CASE3, 18.0, 15.6),
     Scenario(n_wifi=5, n_laa=5,
              wifi=WifiParams(w0=8, m=1, data_rate_mbps=9.0),
              laa=LaaParams(w0=8, m=1, txop_us=3000.0, data_rate_mbps=8.4)),
